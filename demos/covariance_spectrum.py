@@ -27,7 +27,7 @@ for H in (0.3, 0.45, 0.7):
         # delta = 1 gives the correlation matrix; fGn correlations do not
         # depend on the spacing
         cov = increment_covariance(sigma2_fbm(H), UniformGrid(float(n), n))
-        lam = cov.lambda_range()[1]
+        lam = cov.lambda_max()
         # the summable-cover bound the certificates use; it must dominate
         env = gamma_two_norm_bound(H, n, 1.0, 1.0)
         print(f"{n:6d} {lam:12.6f} {env:15.6f}")

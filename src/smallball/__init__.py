@@ -50,6 +50,7 @@ from .gausscov import (
     fbm_cover_constant,
     increment_covariance,
     matrix_norms,
+    toeplitz_eig_enclosure,
     s_weight,
     s_weight_envelope,
     gamma_two_norm_bound,

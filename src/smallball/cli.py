@@ -227,6 +227,14 @@ def certificates_from_config(cfg: dict, pointer: str = "/") -> list:
     model derived from the process drift.
     """
     pointer = pointer.rstrip("/")
+    try:
+        return _certificates(cfg, pointer)
+    except ValueError as exc:
+        # a producer rejected a value the schema lets through
+        raise ConfigError(pointer or "/", str(exc)) from exc
+
+
+def _certificates(cfg, pointer):
     if "kind" not in cfg and "process" in cfg:
         return _process_shorthand_certs(cfg, pointer)
     kind = _get(cfg, "kind", str, pointer, required=True)
@@ -650,7 +658,7 @@ def _cmd_toeplitz(cfg, args):
         # delta = 1 makes Gamma the correlation matrix (unit diagonal);
         # fGn correlations do not depend on the grid spacing
         cov = increment_covariance(sigma2_fbm(H), UniformGrid(float(n), n))
-        rows.append({"N": n, "lambda_max": cov.lambda_range()[1],
+        rows.append({"N": n, "lambda_max": cov.lambda_max(),
                      "symbol_sup": sup_out})
     payload = {
         "H": H, "symbol_sup": sup_out, "rows": rows,

@@ -20,7 +20,6 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import linalg as _sla
 from scipy import special as _special
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DegenerateProcessError
 from .paths import UniformGrid
@@ -37,6 +36,7 @@ __all__ = [
     "sigma2_profile",
     "increment_covariance",
     "matrix_norms",
+    "toeplitz_eig_enclosure",
     "s_weight",
     "s_weight_envelope",
     "gamma_two_norm_bound",
@@ -45,10 +45,6 @@ __all__ = [
     "symbol_sup",
     "estimate_class_parameters",
 ]
-
-# dense symmetric eigensolves are used up to this size; Lanczos beyond
-_DENSE_EIG_MAX = 1024
-
 
 @dataclass(frozen=True)
 class IncrementalVariance:
@@ -114,19 +110,6 @@ class MatrixNorms:
     frobenius: float
 
 
-def _as_grid_matrix(fn, times):
-    try:
-        s, t = np.meshgrid(times, times, indexing="ij")
-        out = np.asarray(fn(s, t), dtype=float)
-        if out.shape != s.shape:
-            raise TypeError
-        return out
-    except Exception:
-        vec = np.vectorize(fn, otypes=[float])
-        s, t = np.meshgrid(times, times, indexing="ij")
-        return vec(s, t)
-
-
 def _eval_pairs(fn, s, t):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -182,20 +165,19 @@ class IncrementCovariance:
             self._dense = _sla.toeplitz(self.first_row)
         return self._dense
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.toeplitz:
-            return _toeplitz_matvec(self._circ_fft, x)
-        return self.gamma @ x
+    @cached_property
+    def _dense_eigs(self):
+        return np.linalg.eigvalsh(self.gamma)
 
     @cached_property
-    def _circ_fft(self):
-        r = self.first_row
-        circ = np.concatenate([r, [0.0], r[-1:0:-1]])
-        return np.fft.rfft(circ)
+    def _max_enclosure(self):
+        return (toeplitz_eig_enclosure(self.first_row, "max") if self.toeplitz
+                else (float(self._dense_eigs[-1]),) * 2)
 
     @cached_property
-    def _extremes(self):
-        return _extreme_eigs(self)
+    def _min_enclosure(self):
+        return (toeplitz_eig_enclosure(self.first_row, "min") if self.toeplitz
+                else (float(self._dense_eigs[0]),) * 2)
 
     @cached_property
     def norms(self) -> MatrixNorms:
@@ -212,12 +194,16 @@ class IncrementCovariance:
             colsum = np.sum(np.abs(self.gamma), axis=0)
             one = float(np.max(colsum))
             fro = float(np.linalg.norm(self.gamma, "fro"))
-        lo, hi = self._extremes
+        lo, hi = self.lambda_range()
         return MatrixNorms(one=one, two=max(abs(lo), abs(hi)), infinity=one, frobenius=fro)
 
+    def lambda_max(self) -> float:
+        """Largest eigenvalue: the upper end of its enclosure."""
+        return self._max_enclosure[1]
+
     def lambda_range(self):
-        """(smallest, largest) eigenvalue."""
-        return self._extremes
+        """(smallest, largest) eigenvalue: the outer ends of their enclosures."""
+        return self._min_enclosure[0], self._max_enclosure[1]
 
     def sampling_factor(self) -> np.ndarray:
         """Factor F with F F^T = Gamma, for exact Gaussian sampling."""
@@ -225,49 +211,68 @@ class IncrementCovariance:
         lam = np.clip(lam, 0.0, None)
         return q * np.sqrt(lam)
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.gamma, delimiter=",", fmt="%.17g")
+
+def _count_below(row, mu):
+    """(number of eigenvalues of toeplitz(row) below mu, shift used).
+
+    Counts the negative Levinson-Durbin prediction errors of T - mu I, the
+    pivots of its LDL^T factorization (Sylvester's law of inertia).  On a
+    zero or overflowing pivot, mu steps down by a doubling ulp and retries.
+    """
+    m = row.shape[0] - 1
+    r, rev = row[1:].tolist(), row[:0:-1].copy()  # rev[m - k:] = row[k..1]
+    mu = float(mu)
+    step = float(np.spacing(max(abs(mu), float(np.max(np.abs(row))))))
+    while True:
+        phi, err, negatives = np.empty(m), float(row[0] - mu), 0
+        for k in range(m + 1):
+            if err == 0.0 or not math.isfinite(err):
+                break
+            negatives += err < 0.0
+            if k == m:
+                return negatives, mu
+            head = phi[:k]
+            kappa = (r[k] - float(head @ rev[m - k:])) / err
+            head -= kappa * head[::-1]
+            phi[k] = kappa
+            err *= 1.0 - kappa * kappa
+        mu -= step
+        step *= 2.0
 
 
-def _toeplitz_matvec(circ_fft, x):
-    n = x.shape[0]
-    buf = np.zeros(2 * n)
-    buf[:n] = x
-    return np.fft.irfft(np.fft.rfft(buf) * circ_fft, 2 * n)[:n]
+def toeplitz_eig_enclosure(row, which: str = "max"):
+    """(lower, upper) enclosure, at most 1e-13 of the spectral scale wide,
+    of the largest (``which="max"``) or smallest (``"min"``) eigenvalue of
+    the symmetric Toeplitz matrix with first row ``row``.
 
-
-def _extreme_eigs(cov: IncrementCovariance):
-    n = cov.N
-    if n <= 2:
-        lam = np.linalg.eigvalsh(cov.gamma)
-        return float(lam[0]), float(lam[-1])
-    if not cov.toeplitz and n <= _DENSE_EIG_MAX:
-        lam = np.linalg.eigvalsh(cov.gamma)
-        return float(lam[0]), float(lam[-1])
-    if cov.toeplitz and n <= _DENSE_EIG_MAX:
-        lam = np.linalg.eigvalsh(cov.gamma)
-        return float(lam[0]), float(lam[-1])
-    # Lanczos with a fixed start vector keeps results deterministic
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    op = LinearOperator((n, n), matvec=cov.matvec, dtype=float)
-    hi = float(eigsh(op, k=1, which="LA", v0=v0, tol=1e-12)[0][0])
-    # smallest eigenvalue via a shifted largest-eigenvalue solve; the shift
-    # uses the one-norm, an upper bound for the two-norm
-    tau = cov.norms.one if "norms" in cov.__dict__ else _one_norm_quick(cov)
-    shifted = LinearOperator(
-        (n, n), matvec=lambda x: tau * x - cov.matvec(x), dtype=float
-    )
-    lo = tau - float(eigsh(shifted, k=1, which="LA", v0=v0, tol=1e-12)[0][0])
-    return lo, hi
-
-
-def _one_norm_quick(cov: IncrementCovariance) -> float:
-    if cov.toeplitz:
-        a = np.abs(cov.first_row)
-        csum = np.concatenate([[0.0], np.cumsum(a)])
-        j = np.arange(1, cov.N + 1)
-        return float(np.max(csum[j] + csum[cov.N - j + 1] - a[0]))
-    return float(np.max(np.sum(np.abs(cov.gamma), axis=0)))
+    Bisects on a shift, counting eigenvalues below it by Levinson-Durbin
+    inertia (Cybenko & Van Loan, SIAM J. Sci. Stat. Comput. 7(1), 1986).
+    The 2N circulant embedding brackets it: its extreme eigenvalue from
+    outside (Cauchy interlacing), the Rayleigh quotient of a sine-tapered
+    Fourier vector at that frequency from inside.
+    """
+    if which not in ("max", "min"):
+        raise ValueError(f"which must be 'max' or 'min', got {which!r}")
+    sign = 1.0 if which == "max" else -1.0  # lambda_min(T) = -lambda_max(-T)
+    row = sign * np.asarray(row, dtype=float)
+    n = row.shape[0]
+    k = np.arange(n)
+    weighted = np.where(k == 0, 1.0, 2.0) * row
+    circ = np.fft.rfft(weighted, 2 * n).real  # r_0 + 2 sum_k r_k cos(pi j k / n)
+    v = np.sin(np.pi * (k + 1) / (n + 1)) * np.cos(np.pi * int(np.argmax(circ)) / n * k)
+    lags = np.fft.irfft(np.abs(np.fft.rfft(v, 2 * n)) ** 2, 2 * n)[:n]  # sum_i v_i v_i+k
+    # the bracket ends are FFT results: widen them by their roundoff
+    scale = float(np.max(np.abs(circ)))
+    pad = 64.0 * float(np.finfo(float).eps) * scale
+    upper = float(np.max(circ)) + pad
+    lower = min(float(weighted @ lags / lags[0]), upper) - 2.0 * pad
+    while upper - lower > 1e-13 * scale:
+        below, mid = _count_below(row, 0.5 * (lower + upper))
+        if below == n:
+            upper = mid
+        else:
+            lower = mid
+    return (lower, upper) if sign > 0 else (-upper, -lower)
 
 
 def increment_covariance(iv: IncrementalVariance, grid: UniformGrid) -> IncrementCovariance:
@@ -292,14 +297,17 @@ def increment_covariance(iv: IncrementalVariance, grid: UniformGrid) -> Incremen
         cov = IncrementCovariance(grid=grid, toeplitz=True, first_row=row)
     else:
         times = grid.times
-        s_mat = _as_grid_matrix(iv.fn, times)
+        s_mat = _eval_pairs(iv.fn, *np.meshgrid(times, times, indexing="ij"))
         gamma = 0.5 * (
             s_mat[:-1, 1:] + s_mat[1:, :-1] - s_mat[1:, 1:] - s_mat[:-1, :-1]
         )
         gamma = 0.5 * (gamma + gamma.T)  # polarization is symmetric up to roundoff
         cov = IncrementCovariance(grid=grid, toeplitz=False, _dense=gamma)
-    lo, hi = cov.lambda_range()
-    if lo < -1e-10 * max(abs(hi), abs(lo)):
+    # lambda_min < -1e-10 max|lambda|, by one inertia count when Toeplitz
+    mu = -1e-10 * cov.lambda_max()
+    if (_count_below(cov.first_row, mu)[0] > 0 if cov.toeplitz
+            else cov.lambda_range()[0] < mu):
+        lo, hi = cov.lambda_range()
         raise ValueError(
             f"increment covariance indefinite: min eigenvalue {lo:.3e} "
             f"against max {hi:.3e}"

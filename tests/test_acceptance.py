@@ -330,7 +330,7 @@ def _build_c6(workers):
         for n in sizes:
             # delta = 1: the correlation matrix, spacing-invariant
             cov = increment_covariance(sigma2_fbm(H), UniformGrid(float(n), n))
-            lam = cov.lambda_range()[1]
+            lam = cov.lambda_max()
             lams.append(lam)
             rows.append(f"{H!r},{n},{lam!r},{sup!r}")
         summary[H] = (lams, sup)

@@ -199,6 +199,22 @@ class TestBound:
         assert code == 2
         assert parse_error(err)["type"] == "InfeasibleCertificateError"
 
+    def test_fbm_holder_beta_above_h_is_a_config_error(self, tmp_path, capsys):
+        cfg = {"kind": "fbm_holder", "H": 0.3, "beta": 0.4, "epsilons": [0.1]}
+        code, _, err = run_cli(tmp_path, capsys, "bound", cfg)
+        assert code == 2
+        e = parse_error(err)
+        assert e == {"type": "config", "pointer": "/",
+                     "message": "requires 0 < beta < H < 1/2"}
+
+    def test_stationary_negative_delta_is_a_config_error(self, tmp_path, capsys):
+        cfg = {"kind": "stationary", "H": 0.3, "Delta": -1, "epsilons": [0.1]}
+        code, _, err = run_cli(tmp_path, capsys, "bound", cfg)
+        assert code == 2
+        e = parse_error(err)
+        assert e == {"type": "config", "pointer": "/",
+                     "message": "Delta, T, epsilon must be positive"}
+
 
 class TestEstimateAndRate:
     def test_estimate_writes_table(self, tmp_path, capsys):

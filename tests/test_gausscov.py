@@ -1,19 +1,20 @@
 """Increment covariance machinery against dense linear-algebra oracles.
 
-Every fast path (Toeplitz matvec, Lanczos extremes, cumulative row
-weights) is compared with a brute-force dense computation on sizes where
-that is cheap.
+Every fast path (Levinson eigenvalue enclosures, cumulative row weights)
+is compared with a brute-force dense computation on sizes where that is
+cheap.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.special import zeta
 
 from smallball.errors import DegenerateProcessError
 from smallball.gausscov import (
-    IncrementCovariance,
+    _count_below,
     estimate_class_parameters,
     fbm_cover_constant,
     fgn_symbol,
@@ -25,6 +26,7 @@ from smallball.gausscov import (
     sigma2_fbm,
     sigma2_profile,
     symbol_sup,
+    toeplitz_eig_enclosure,
 )
 from smallball.paths import UniformGrid
 from smallball.simulate import fgn_autocovariance
@@ -53,15 +55,6 @@ class TestIncrementCovariance:
         exact = increment_covariance(sigma2_fbm(0.3), grid)
         np.testing.assert_allclose(generic.gamma, exact.gamma, atol=1e-12)
 
-    def test_matvec_matches_dense(self):
-        grid = UniformGrid(1.0, 48)
-        cov = increment_covariance(sigma2_fbm(0.35), grid)
-        dense = _dense_gamma(0.35, grid)
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            x = rng.normal(size=48)
-            np.testing.assert_allclose(cov.matvec(x), dense @ x, atol=1e-12)
-
     def test_lambda_range_matches_eigvalsh(self):
         grid = UniformGrid(64.0, 64)  # delta = 1: unit-variance increments
         cov = increment_covariance(sigma2_fbm(0.3), grid)
@@ -85,6 +78,55 @@ class TestIncrementCovariance:
         grid = UniformGrid(1.0, 8)
         cov = increment_covariance(sigma2_profile(lambda s, t: 0.0), grid)
         assert cov.lambda_range() == (0.0, 0.0)
+
+
+class TestToeplitzEigEnclosure:
+    @pytest.mark.parametrize("H", [0.2, 0.3, 0.45, 0.5, 0.6, 0.75])
+    @pytest.mark.parametrize("N", [2, 3, 17, 256, 1024])
+    def test_ends_contain_dense_eigenvalues(self, H, N):
+        row = fgn_autocovariance(H, np.arange(N))
+        w = np.linalg.eigvalsh(toeplitz(row))
+        # eigvalsh itself is exact only to a few ulps of the norm
+        tol = 32 * np.finfo(float).eps * w[-1]
+        for which, exact in (("min", w[0]), ("max", w[-1])):
+            lo, hi = toeplitz_eig_enclosure(row, which)
+            assert lo - tol <= exact <= hi + tol
+            assert 0.0 <= hi - lo <= 1e-13 * 2 * np.abs(row).sum()
+
+    def test_top_eigenvector_skew_symmetric_case(self):
+        # for even N the top eigenvector of the H < 1/2 matrix is
+        # skew-symmetric under reversal, so Lanczos from the constant start
+        # vector never sees it; N = 1100 is above the old dense cut-off
+        row = fgn_autocovariance(0.3, np.arange(1100))
+        exact = np.linalg.eigvalsh(toeplitz(row))[-1]
+        lo, hi = toeplitz_eig_enclosure(row)
+        assert hi == pytest.approx(exact, rel=1e-12)
+        assert lo == pytest.approx(exact, rel=1e-12)
+
+    def test_zero_row(self):
+        assert toeplitz_eig_enclosure(np.zeros(5), "max") == (0.0, 0.0)
+        assert toeplitz_eig_enclosure(np.zeros(5), "min") == (0.0, 0.0)
+
+    def test_zero_pivot_nudges_the_shift(self):
+        # mu = 1 makes the 2x2 matrix T - mu I singular (last pivot 0); its
+        # eigenvalues are 1 and 3, so none lies below the nudged shift
+        count, mu = _count_below(np.array([2.0, 1.0]), 1.0)
+        assert count == 0 and 0.0 < 1.0 - mu <= 1e-15
+        # mu = row[0] zeroes the first pivot; the count still matches
+        for row in ([2.0, 1.0], fgn_autocovariance(0.3, np.arange(64))):
+            row = np.asarray(row)
+            count, mu = _count_below(row, row[0])
+            assert mu < row[0]
+            assert count == np.sum(np.linalg.eigvalsh(toeplitz(row)) < row[0])
+
+    def test_lambda_max_nondecreasing_in_n(self):
+        tops = [toeplitz_eig_enclosure(fgn_autocovariance(0.3, np.arange(n)))
+                for n in (256, 1024, 2048)]
+        assert tops[0][1] <= tops[1][0] and tops[1][1] <= tops[2][0]
+
+    def test_rejects_unknown_end(self):
+        with pytest.raises(ValueError):
+            toeplitz_eig_enclosure([1.0, 0.5], "middle")
 
 
 class TestRowWeights:
