@@ -60,33 +60,28 @@ from .gausscov import (
     estimate_class_parameters,
 )
 from .concentration import (
-    CenteringChoice,
     TailModel,
     hoeffding_tail,
-    hoeffding_model,
     gauss_l2_tail,
-    gauss_l2_model,
     drift_bounded_model,
     drift_borell_model,
-    empirical_model,
-    empirical_tail,
-    constant_model,
     cp_lower,
     cp_upper,
 )
 from .bounds import (
     Regime,
     Certificate,
-    SearchConfig,
     feasible,
     drift_threshold,
-    certify_general,
     bound_iid_sum,
     iid_sum_certificate,
     bound_holder_indep,
+    holder_indep_certificate,
     bound_gaussian_class,
     bound_fbm_holder_norm,
+    fbm_holder_certificate,
     bound_stationary,
+    stationary_certificate,
     representation_feasibility,
     witness_margins,
     FeasibilityWitness,

@@ -18,43 +18,45 @@ regime, with |X|_p the l^p norm of partition increments of X:
 Modes: EXPLICIT totals come from closed-form tail inequalities, PAPER from
 pinned literature constants, STATISTICAL from exact binomial upper limits
 on sampled tails.
+
+This is the one module that assembles Certificates.  Each closed-form
+family has a bound_* function for its value and constants and a
+*_certificate builder that places that value on its witness;
+bound_gaussian_class and empirical_certificate return Certificates
+directly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .concentration import (
-    CenteringChoice,
-    TailModel,
-    cp_upper,
-    gauss_l2_model,
-    hoeffding_tail,
-)
+from .concentration import TailModel, cp_upper, gauss_l2_tail, hoeffding_tail
 from .errors import EpsilonTooLargeError, InfeasibleCertificateError
-from .gausscov import gamma_two_norm_bound, s_weight, s_weight_envelope
+from .gausscov import gamma_two_norm_bound, s_weight_envelope
 from .simulate import DistSpec
 
 __all__ = [
     "Regime",
     "Certificate",
-    "SearchConfig",
     "feasible",
     "drift_threshold",
-    "certify_general",
     "bound_iid_sum",
+    "iid_sum_certificate",
     "HolderIndepBound",
     "bound_holder_indep",
+    "holder_indep_certificate",
     "bound_gaussian_class",
     "HolderNormBound",
     "bound_fbm_holder_norm",
+    "fbm_holder_certificate",
     "StationaryBound",
     "bound_stationary",
+    "stationary_certificate",
     "FeasibilityWitness",
     "representation_feasibility",
     "empirical_certificate",
@@ -232,132 +234,7 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, Regime):
         return obj.to_dict()
-    if isinstance(obj, CenteringChoice):
-        return obj.value
     return obj
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Grid over which certify_general minimises the certified total.
-
-    The delta grid is log-spaced over `decades` decades below delta_seed
-    (seed defaults to T); an explicit delta_grid overrides it.  delta_mesh,
-    when set, snaps every candidate up to a multiple of the mesh.
-    """
-
-    p_grid: tuple = (1.0, 2.0)
-    delta_seed: Optional[float] = None
-    decades: float = 3.0
-    points_per_decade: int = 40
-    delta_mesh: Optional[float] = None
-    delta_grid: Optional[tuple] = None
-
-    def deltas(self, T: float) -> np.ndarray:
-        if self.delta_grid is not None:
-            cand = np.asarray(self.delta_grid, dtype=float)
-        else:
-            top = self.delta_seed if self.delta_seed is not None else T
-            top = min(top, T)
-            n = max(2, int(round(self.decades * self.points_per_decade)))
-            cand = np.geomspace(top * 10.0 ** (-self.decades), top, n)
-        if self.delta_mesh is not None:
-            cand = np.ceil(cand / self.delta_mesh - 1e-12) * self.delta_mesh
-            cand = np.unique(cand)
-        cand = cand[(cand > 0) & (cand <= T)]
-        return cand
-
-
-def certify_general(
-    epsilon: float,
-    T: float,
-    regime: Regime,
-    i_rule: Callable[[float, int, float], float],
-    concentration: Callable[[float, int, float, float], TailModel],
-    drift: Optional[TailModel] = None,
-    search: SearchConfig = SearchConfig(),
-    mode: str = "EXPLICIT",
-) -> Certificate:
-    """Search partition witnesses and return the tightest certificate.
-
-    i_rule(p, N, delta) supplies the centering I for the candidate witness;
-    concentration(p, N, delta, I) supplies the tail model for |X|_p around
-    I.  Candidates failing feasibility are skipped; ties in total break
-    toward smaller N, then smaller delta.  Raises
-    InfeasibleCertificateError (carrying the nearest-miss witness) when no
-    candidate is feasible.
-    """
-    if epsilon <= 0 or T <= 0:
-        raise ValueError("epsilon and T must be positive")
-    best = None
-    best_key = None
-    tightest = None
-    tightest_gap = math.inf
-    for p in search.p_grid:
-        for delta in search.deltas(T):
-            N = int(math.floor(T / delta + 1e-12))
-            if N < 1:
-                continue
-            I = float(i_rule(p, N, delta))
-            if not (I > 0):
-                continue
-            if not feasible(regime, p, N, delta, I, epsilon, T):
-                gap = _feasibility_gap(regime, p, N, delta, I, epsilon)
-                if gap < tightest_gap:
-                    tightest_gap = gap
-                    tightest = {"p": p, "N": N, "delta": delta, "I": I,
-                                "relative_gap": gap}
-                continue
-            h = I / 4.0 if drift is not None else I / 2.0
-            term_conc = concentration(p, N, delta, I).evaluate(h)
-            if drift is not None:
-                x = drift_threshold(regime, p, N, delta, I)
-                term_drift = drift.evaluate(x)
-            else:
-                term_drift = 0.0
-            total = min(1.0, term_conc + term_drift)
-            key = (total, N, delta)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (p, N, delta, I, term_conc, term_drift)
-    if best is None:
-        raise InfeasibleCertificateError(
-            f"no feasible witness for epsilon={epsilon:g} in regime "
-            f"{regime.label()} over the search grid",
-            tightest=tightest,
-        )
-    p, N, delta, I, term_conc, term_drift = best
-    return Certificate.build(
-        epsilon=epsilon, T=T, regime=regime, p=p, N=N, delta=delta, I=I,
-        term_concentration=term_conc, term_drift=term_drift, mode=mode,
-        provenance={
-            "search": {
-                "p_grid": list(search.p_grid),
-                "delta_seed": search.delta_seed,
-                "decades": search.decades,
-                "points_per_decade": search.points_per_decade,
-                "delta_mesh": search.delta_mesh,
-                "explicit_grid": search.delta_grid is not None,
-            },
-            "threshold_concentration": I / 4.0 if drift is not None else I / 2.0,
-            "threshold_drift": (
-                drift_threshold(regime, p, N, delta, I) if drift is not None else None
-            ),
-        },
-    )
-
-
-def _feasibility_gap(regime, p, N, delta, I, epsilon):
-    """Relative amount by which the scale inequality misses; 0 means feasible."""
-    ratio = I / epsilon
-    root = float(N) ** (1.0 / p)
-    if regime.kind == "sup":
-        lhs = 4.0 * root
-    elif regime.kind == "l1":
-        lhs = 8.0 * root
-    else:
-        lhs = 2.0 * delta ** regime.beta * root
-    return max(0.0, (lhs - ratio) / lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +317,7 @@ class HolderIndepBound(NamedTuple):
     gamma: float
     c_explicit: float
     useless: bool
+    delta: float
 
 
 def bound_holder_indep(
@@ -479,9 +357,36 @@ def bound_holder_indep(
     delta_star = (4.0 * epsilon / c_inc) ** (1.0 / beta)
     if delta_star > T:
         # no admissible partition at this radius; only the trivial bound holds
-        return HolderIndepBound(1.0, gamma, c_explicit, useless)
+        return HolderIndepBound(1.0, gamma, c_explicit, useless, delta_star)
     value = min(1.0, 2.0 * math.exp(-c_explicit * T * epsilon ** (-gamma)))
-    return HolderIndepBound(value, gamma, c_explicit, useless)
+    return HolderIndepBound(value, gamma, c_explicit, useless, delta_star)
+
+
+def holder_indep_certificate(
+    H: float,
+    beta: float,
+    T: float,
+    epsilon: float,
+    holder_bound: float,
+    c_inc: float,
+) -> Certificate:
+    """bound_holder_indep packaged as a certificate on its witness.
+
+    Flagged USELESS when the rate does not improve as epsilon shrinks;
+    vacuous when the witness scale delta exceeds the horizon.
+    """
+    res = bound_holder_indep(H, beta, T, epsilon, holder_bound, c_inc)
+    if res.delta > T:
+        return Certificate.vacuous_certificate(
+            epsilon, T, Regime.sup(), "no partition fits the horizon")
+    N = int(math.floor(T / res.delta + 1e-12))
+    return Certificate.build(
+        epsilon=epsilon, T=T, regime=Regime.sup(), p=1.0, N=N, delta=res.delta,
+        I=N * c_inc * res.delta**beta, term_concentration=res.value,
+        term_drift=0.0, mode="EXPLICIT",
+        flags=["USELESS"] if res.useless else [],
+        provenance={"gamma": res.gamma, "c_explicit": res.c_explicit},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +408,6 @@ def bound_gaussian_class(
     epsilon: float,
     drift_model: Optional[TailModel] = None,
     delta_mesh: Optional[float] = None,
-    centering: CenteringChoice = CenteringChoice.SQRT_SECOND_MOMENT,
 ) -> Certificate:
     """Sup-norm certificate for Gaussian processes in an increment class.
 
@@ -529,6 +433,8 @@ def bound_gaussian_class(
         raise ValueError("class requires beta >= H (lower envelope is steeper)")
     if c <= 0 or C < c or c_deriv <= 0 or T <= 0:
         raise ValueError("c, C, c_deriv, T must be positive with C >= c")
+    if delta_mesh is not None and not delta_mesh > 0:
+        raise ValueError("delta_mesh must be positive")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon >= 1.0:
@@ -575,7 +481,7 @@ def bound_gaussian_class(
     norm2_d = gamma_two_norm_bound(H, N_d, delta_d, c_deriv)
     h_d = I_d / 4.0 if drift_model is not None else I_d / 2.0
     exponent_d = h_d * h_d / (4.0 * norm2_d)
-    term_conc_d = min(1.0, 2.0 * math.exp(-exponent_d))
+    term_conc_d = gauss_l2_tail(norm2_d, h_d)
 
     # smooth envelope at the real-valued witness
     n_real = T / delta_seed
@@ -625,7 +531,7 @@ def bound_gaussian_class(
         mode="EXPLICIT", flags=flags,
         provenance={
             "class": {"H": H, "beta": beta, "c": c, "C": C, "c_deriv": c_deriv},
-            "centering": centering,
+            "centering": "sqrt_second_moment",
             "envelope": {
                 "C1": 2.0,
                 "C2": c2,
@@ -697,6 +603,31 @@ def bound_fbm_holder_norm(
     return HolderNormBound(value, 2.0, c2, gamma, delta_star, n_real)
 
 
+def fbm_holder_certificate(
+    H: float,
+    beta: float,
+    epsilon: float,
+    c_deriv: float = 1.0,
+    T: float = 1.0,
+) -> Certificate:
+    """bound_fbm_holder_norm packaged as a certificate on its witness.
+
+    Vacuous when the witness scale delta exceeds the horizon.
+    """
+    res = bound_fbm_holder_norm(H, beta, epsilon, c_deriv=c_deriv, T=T)
+    if res.delta > T:
+        return Certificate.vacuous_certificate(
+            epsilon, T, Regime.holder(beta), "no partition fits the horizon")
+    N = int(math.floor(T / res.delta + 1e-12))
+    return Certificate.build(
+        epsilon=epsilon, T=T, regime=Regime.holder(beta), p=2.0, N=N,
+        delta=res.delta, I=math.sqrt(N) * res.delta**H,
+        term_concentration=res.value, term_drift=0.0, mode="EXPLICIT",
+        provenance={"c1": res.c1, "c2": res.c2, "gamma": res.gamma,
+                    "n_real": res.n_real},
+    )
+
+
 # ---------------------------------------------------------------------------
 # stationary processes via the spectral symbol
 
@@ -762,6 +693,30 @@ def bound_stationary(
         return StationaryBound(1.0, delta_star, c2, epsilon, T)
     value = min(1.0, 2.0 * math.exp(-c2 * T / delta_star))
     return StationaryBound(value, delta_star, c2, epsilon, T)
+
+
+def stationary_certificate(
+    sigma: Callable[[float], float],
+    Delta: float,
+    ratio_bound: float,
+    symbol_sup_value: float,
+    T: float,
+    epsilon: float,
+) -> Certificate:
+    """bound_stationary packaged as a certificate.
+
+    The bound needs no centering, so I is left unset; N counts the whole
+    witness cells delta* in the horizon (at least one).  Raises
+    EpsilonTooLargeError as bound_stationary does.
+    """
+    res = bound_stationary(sigma, Delta, ratio_bound, symbol_sup_value, T, epsilon)
+    return Certificate.build(
+        epsilon=epsilon, T=T, regime=Regime.sup(), p=2.0,
+        N=max(1, int(math.floor(T / res.delta_star))), delta=res.delta_star,
+        I=None, term_concentration=res.value, term_drift=0.0, mode="EXPLICIT",
+        provenance={"delta_star": res.delta_star, "c2": res.c2,
+                    "symbol_sup": symbol_sup_value, "ratio_bound": ratio_bound},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .concentration import drift_borell_model, drift_bounded_model
 from .gausscov import fgn_symbol, increment_covariance, sigma2_fbm, symbol_sup
-from .mcverify import NormSpec, config_digest, estimate_small_ball
+from .mcverify import config_digest, estimate_small_ball
 from .paths import UniformGrid
 from .simulate import DistSpec, DriftSpec, ProcessSpec, SeedSpec, path_values_block
 
@@ -170,12 +169,12 @@ def _parse_dist(obj, pointer) -> DistSpec:
     raise ConfigError(f"{pointer}/kind", f"unknown distribution {kind!r}")
 
 
-def _parse_norm(obj, pointer) -> NormSpec:
+def _parse_norm(obj, pointer) -> Regime:
     if obj is None:
-        return NormSpec("sup")
+        return Regime.sup()
     _check_keys(obj, {"kind", "beta"}, pointer)
     try:
-        return NormSpec(
+        return Regime(
             kind=_get(obj, "kind", str, pointer, required=True),
             beta=_get(obj, "beta", float, pointer, default=None),
         )
@@ -204,18 +203,119 @@ def _parse_drift_model(obj, pointer):
 
 _EPS_KEYS = {"epsilon", "epsilons"}
 
-_BOUND_KEYS = {
-    "gaussian_class": {"kind", "H", "beta", "c", "C", "c_deriv", "T",
-                       "drift_model", "delta_mesh", "vacuous_on_infeasible"},
-    "iid_sum": {"kind", "dist", "n", "mode"},
-    "holder_indep": {"kind", "H", "beta", "c_inc", "holder_bound", "T"},
-    "fbm_holder": {"kind", "H", "beta", "c_deriv", "T"},
-    "stationary": {"kind", "H", "Delta", "T", "ratio_bound",
-                   "symbol_sup", "vacuous_on_infeasible"},
+
+def _class_constants(cfg, pointer, H) -> dict:
+    # constants of the Gaussian increment class; beta defaults to H
+    return {
+        "H": H,
+        "beta": _get(cfg, "beta", float, pointer, default=H),
+        "c": _get(cfg, "c", float, pointer, default=1.0),
+        "C": _get(cfg, "C", float, pointer, default=1.0),
+        "c_deriv": _get(cfg, "c_deriv", float, pointer, default=1.0),
+        "T": _get(cfg, "T", float, pointer, default=1.0),
+        "delta_mesh": _get(cfg, "delta_mesh", float, pointer, default=None),
+    }
+
+
+def _parse_gaussian_class(cfg, pointer) -> dict:
+    H = _check_H(_get(cfg, "H", float, pointer, required=True), pointer)
+    params = _class_constants(cfg, pointer, H)
+    params["drift_model"] = _parse_drift_model(
+        _get(cfg, "drift_model", dict, pointer, default=None),
+        f"{pointer}/drift_model")
+    return params
+
+
+def _parse_process_shorthand(cfg, pointer) -> dict:
+    spec = _parse_process(_get(cfg, "process", dict, pointer, required=True),
+                          f"{pointer}/process")
+    model = None
+    if spec.drift.kind != "none":
+        bound = spec.drift.sup_bound()
+        if bound is None:
+            raise ConfigError(
+                f"{pointer}/process/drift",
+                "drift has no almost-sure bound; use an explicit "
+                "gaussian_class bound with a drift_model, or an empirical "
+                "certificate built from drift samples",
+            )
+        model = drift_bounded_model(bound) if bound > 0 else None
+    params = _class_constants(cfg, pointer, spec.H)
+    params["drift_model"] = model
+    return params
+
+
+def _parse_iid_sum(cfg, pointer) -> dict:
+    return {
+        "dist": _parse_dist(_get(cfg, "dist", dict, pointer, required=True),
+                            f"{pointer}/dist"),
+        "n": _get(cfg, "n", int, pointer, required=True),
+        "mode": _get(cfg, "mode", str, pointer, default="PAPER_CONSTANTS"),
+    }
+
+
+def _parse_holder_indep(cfg, pointer) -> dict:
+    return {
+        "H": _check_H(_get(cfg, "H", float, pointer, required=True), pointer),
+        "beta": _get(cfg, "beta", float, pointer, required=True),
+        "c_inc": _get(cfg, "c_inc", float, pointer, required=True),
+        "holder_bound": _get(cfg, "holder_bound", float, pointer, required=True),
+        "T": _get(cfg, "T", float, pointer, default=1.0),
+    }
+
+
+def _parse_fbm_holder(cfg, pointer) -> dict:
+    return {
+        "H": _check_H(_get(cfg, "H", float, pointer, required=True), pointer),
+        "beta": _get(cfg, "beta", float, pointer, required=True),
+        "c_deriv": _get(cfg, "c_deriv", float, pointer, default=1.0),
+        "T": _get(cfg, "T", float, pointer, default=1.0),
+    }
+
+
+def _parse_stationary(cfg, pointer) -> dict:
+    H = _check_H(_get(cfg, "H", float, pointer, required=True), pointer)
+    params = {
+        "sigma": lambda d: d**H,
+        "Delta": _get(cfg, "Delta", float, pointer, default=1.0),
+        "T": _get(cfg, "T", float, pointer, default=1.0),
+        # sigma(u)/sigma(v) = (u/v)^H <= 2^H for v <= u <= 2v
+        "ratio_bound": _get(cfg, "ratio_bound", float, pointer, default=2.0 ** H),
+        "symbol_sup_value": _get(cfg, "symbol_sup", float, pointer, default=None),
+    }
+    if params["symbol_sup_value"] is None:
+        sup = symbol_sup(fgn_symbol(H))
+        if sup.infinite:
+            raise ConfigError(f"{pointer}/H",
+                              "spectral density unbounded for H > 1/2; "
+                              "supply symbol_sup explicitly")
+        params["symbol_sup_value"] = sup.value
+    return params
+
+
+_CLASS_KEYS = {"beta", "c", "C", "c_deriv", "T", "delta_mesh",
+               "vacuous_on_infeasible"}
+
+# kind -> (allowed keys, parser, family).  The parser turns the config into
+# the keyword arguments of the family's certificate builder.  The builder is
+# named, not held, and looked up on the bounds module at each call, so that
+# wrappers installed on the module (bench/tracer.py) see every call.
+_BOUND_KINDS = {
+    "gaussian_class": (_CLASS_KEYS | {"kind", "H", "drift_model"},
+                       _parse_gaussian_class, "bound_gaussian_class"),
+    "iid_sum": ({"kind", "dist", "n", "mode"}, _parse_iid_sum,
+                "iid_sum_certificate"),
+    "holder_indep": ({"kind", "H", "beta", "c_inc", "holder_bound", "T"},
+                     _parse_holder_indep, "holder_indep_certificate"),
+    "fbm_holder": ({"kind", "H", "beta", "c_deriv", "T"}, _parse_fbm_holder,
+                   "fbm_holder_certificate"),
+    "stationary": ({"kind", "H", "Delta", "T", "ratio_bound", "symbol_sup",
+                    "vacuous_on_infeasible"},
+                   _parse_stationary, "stationary_certificate"),
 }
 
-_SHORTHAND_KEYS = {"process", "beta", "c", "C", "c_deriv", "T", "delta_mesh",
-                   "vacuous_on_infeasible"}
+_SHORTHAND = (_CLASS_KEYS | {"process"}, _parse_process_shorthand,
+              "bound_gaussian_class")
 
 
 def certificates_from_config(cfg: dict, pointer: str = "/") -> list:
@@ -236,181 +336,28 @@ def certificates_from_config(cfg: dict, pointer: str = "/") -> list:
 
 def _certificates(cfg, pointer):
     if "kind" not in cfg and "process" in cfg:
-        return _process_shorthand_certs(cfg, pointer)
-    kind = _get(cfg, "kind", str, pointer, required=True)
-    if kind not in _BOUND_KEYS:
-        raise ConfigError(f"{pointer}/kind", f"unknown bound kind {kind!r}")
-    _check_keys(cfg, _BOUND_KEYS[kind] | _EPS_KEYS, pointer)
+        keys, parse, family = _SHORTHAND
+    else:
+        kind = _get(cfg, "kind", str, pointer, required=True)
+        if kind not in _BOUND_KINDS:
+            raise ConfigError(f"{pointer}/kind", f"unknown bound kind {kind!r}")
+        keys, parse, family = _BOUND_KINDS[kind]
+    _check_keys(cfg, keys | _EPS_KEYS, pointer)
     epsilons = _get_epsilons(cfg, pointer)
-    if kind == "gaussian_class":
-        return _gaussian_class_certs(cfg, pointer, epsilons)
-    if kind == "iid_sum":
-        dist = _parse_dist(_get(cfg, "dist", dict, pointer, required=True),
-                           f"{pointer}/dist")
-        n = _get(cfg, "n", int, pointer, required=True)
-        mode = _get(cfg, "mode", str, pointer, default="PAPER_CONSTANTS")
-        return [_bounds.iid_sum_certificate(dist, n, e, mode=mode)
-                for e in epsilons]
-    if kind == "holder_indep":
-        return _holder_indep_certs(cfg, pointer, epsilons)
-    if kind == "fbm_holder":
-        return _fbm_holder_certs(cfg, pointer, epsilons)
-    return _stationary_certs(cfg, pointer, epsilons)
-
-
-def _class_cert_loop(H, beta, c, C, c_deriv, T, epsilons, model, mesh, forgiving):
+    params = parse(cfg, pointer)
+    # only the sup-norm kinds that take the key forgive an infeasible radius
+    forgiving = _get(cfg, "vacuous_on_infeasible", bool, pointer,
+                     default="vacuous_on_infeasible" in keys)
+    build = getattr(_bounds, family)
     out = []
     for e in epsilons:
         try:
-            out.append(
-                _bounds.bound_gaussian_class(
-                    H, beta, c, C, c_deriv, T, e,
-                    drift_model=model, delta_mesh=mesh,
-                )
-            )
+            out.append(build(epsilon=e, **params))
         except (InfeasibleCertificateError, EpsilonTooLargeError) as exc:
             if not forgiving:
                 raise
-            out.append(
-                Certificate.vacuous_certificate(e, T, Regime.sup(), str(exc))
-            )
-    return out
-
-
-def _gaussian_class_certs(cfg, pointer, epsilons):
-    H = _check_H(_get(cfg, "H", float, pointer, required=True), pointer)
-    return _class_cert_loop(
-        H,
-        _get(cfg, "beta", float, pointer, default=H),
-        _get(cfg, "c", float, pointer, default=1.0),
-        _get(cfg, "C", float, pointer, default=1.0),
-        _get(cfg, "c_deriv", float, pointer, default=1.0),
-        _get(cfg, "T", float, pointer, default=1.0),
-        epsilons,
-        _parse_drift_model(_get(cfg, "drift_model", dict, pointer, default=None),
-                           f"{pointer}/drift_model"),
-        _get(cfg, "delta_mesh", float, pointer, default=None),
-        _get(cfg, "vacuous_on_infeasible", bool, pointer, default=True),
-    )
-
-
-def _process_shorthand_certs(cfg, pointer):
-    _check_keys(cfg, _SHORTHAND_KEYS | _EPS_KEYS, pointer)
-    spec = _parse_process(_get(cfg, "process", dict, pointer, required=True),
-                          f"{pointer}/process")
-    epsilons = _get_epsilons(cfg, pointer)
-    model = None
-    if spec.drift.kind != "none":
-        bound = spec.drift.sup_bound()
-        if bound is None:
-            raise ConfigError(
-                f"{pointer}/process/drift",
-                "drift has no almost-sure bound; use an explicit "
-                "gaussian_class bound with a drift_model, or an empirical "
-                "certificate built from drift samples",
-            )
-        model = drift_bounded_model(bound) if bound > 0 else None
-    H = spec.H
-    return _class_cert_loop(
-        H,
-        _get(cfg, "beta", float, pointer, default=H),
-        _get(cfg, "c", float, pointer, default=1.0),
-        _get(cfg, "C", float, pointer, default=1.0),
-        _get(cfg, "c_deriv", float, pointer, default=1.0),
-        _get(cfg, "T", float, pointer, default=1.0),
-        epsilons,
-        model,
-        _get(cfg, "delta_mesh", float, pointer, default=None),
-        _get(cfg, "vacuous_on_infeasible", bool, pointer, default=True),
-    )
-
-
-def _holder_indep_certs(cfg, pointer, epsilons):
-    H = _check_H(_get(cfg, "H", float, pointer, required=True), pointer)
-    beta = _get(cfg, "beta", float, pointer, required=True)
-    c_inc = _get(cfg, "c_inc", float, pointer, required=True)
-    L = _get(cfg, "holder_bound", float, pointer, required=True)
-    T = _get(cfg, "T", float, pointer, default=1.0)
-    out = []
-    for e in epsilons:
-        res = _bounds.bound_holder_indep(
-            H, beta, T=T, epsilon=e, holder_bound=L, c_inc=c_inc
-        )
-        delta = (4.0 * e / c_inc) ** (1.0 / beta)
-        flags = ["USELESS"] if res.useless else []
-        prov = {"gamma": res.gamma, "c_explicit": res.c_explicit}
-        if delta > T:
             out.append(Certificate.vacuous_certificate(
-                e, T, Regime.sup(), "no partition fits the horizon"))
-            continue
-        N = int(math.floor(T / delta + 1e-12))
-        out.append(Certificate.build(
-            epsilon=e, T=T, regime=Regime.sup(), p=1.0, N=N, delta=delta,
-            I=N * c_inc * delta**beta, term_concentration=res.value,
-            term_drift=0.0, mode="EXPLICIT", flags=flags, provenance=prov,
-        ))
-    return out
-
-
-def _fbm_holder_certs(cfg, pointer, epsilons):
-    H = _check_H(_get(cfg, "H", float, pointer, required=True), pointer)
-    beta = _get(cfg, "beta", float, pointer, required=True)
-    c_deriv = _get(cfg, "c_deriv", float, pointer, default=1.0)
-    T = _get(cfg, "T", float, pointer, default=1.0)
-    out = []
-    for e in epsilons:
-        res = _bounds.bound_fbm_holder_norm(H, beta, e, c_deriv=c_deriv, T=T)
-        prov = {"c1": res.c1, "c2": res.c2, "gamma": res.gamma,
-                "n_real": res.n_real}
-        if res.delta > T:
-            out.append(Certificate.vacuous_certificate(
-                e, T, Regime.holder(beta), "no partition fits the horizon"))
-            continue
-        N = int(math.floor(T / res.delta + 1e-12))
-        out.append(Certificate.build(
-            epsilon=e, T=T, regime=Regime.holder(beta), p=2.0, N=N,
-            delta=res.delta, I=math.sqrt(N) * res.delta**H,
-            term_concentration=res.value, term_drift=0.0, mode="EXPLICIT",
-            provenance=prov,
-        ))
-    return out
-
-
-def _stationary_certs(cfg, pointer, epsilons):
-    H = _check_H(_get(cfg, "H", float, pointer, required=True), pointer)
-    Delta = _get(cfg, "Delta", float, pointer, default=1.0)
-    T = _get(cfg, "T", float, pointer, default=1.0)
-    ratio = _get(cfg, "ratio_bound", float, pointer, default=None)
-    sup_val = _get(cfg, "symbol_sup", float, pointer, default=None)
-    forgiving = _get(cfg, "vacuous_on_infeasible", bool, pointer, default=True)
-    if sup_val is None:
-        sup = symbol_sup(fgn_symbol(H))
-        if sup.infinite:
-            raise ConfigError(f"{pointer}/H",
-                              "spectral density unbounded for H > 1/2; "
-                              "supply symbol_sup explicitly")
-        sup_val = sup.value
-    if ratio is None:
-        # sigma(u)/sigma(v) = (u/v)^H <= 2^H for v <= u <= 2v
-        ratio = 2.0 ** H
-    sigma = lambda d: d**H  # noqa: E731
-    out = []
-    for e in epsilons:
-        try:
-            res = _bounds.bound_stationary(sigma, Delta, ratio, sup_val, T, e)
-        except EpsilonTooLargeError as exc:
-            if not forgiving:
-                raise
-            out.append(Certificate.vacuous_certificate(e, T, Regime.sup(), str(exc)))
-            continue
-        out.append(Certificate.build(
-            epsilon=e, T=T, regime=Regime.sup(), p=2.0,
-            N=max(1, int(math.floor(T / res.delta_star))), delta=res.delta_star,
-            I=None, term_concentration=res.value, term_drift=0.0,
-            mode="EXPLICIT",
-            provenance={"delta_star": res.delta_star, "c2": res.c2,
-                        "symbol_sup": sup_val, "ratio_bound": ratio},
-        ))
+                e, params["T"], Regime.sup(), str(exc)))
     return out
 
 
@@ -443,24 +390,28 @@ def _cmd_simulate(cfg, args):
         cfg, "n_paths", int, "", default=1)
     if n_paths < 1:
         raise ConfigError("/n_paths", "must be >= 1")
-    if "dist" in cfg:
-        from .simulate import iid_sums_block
+    try:
+        if "dist" in cfg:
+            from .simulate import iid_sums_block
 
-        dist = _parse_dist(cfg["dist"], "/dist")
-        n = _get(cfg, "n", int, "", required=True)
-        values = iid_sums_block(dist, n, SeedSpec(seed), np.arange(n_paths))
-        times = np.arange(n + 1, dtype=float)
-        label = f"iid({dist.kind})"
-    else:
-        proc_obj = _get(cfg, "process", dict, "", required=True)
-        spec = _parse_process(proc_obj, "/process")
-        grid = UniformGrid(
-            _get(cfg, "T", float, "", default=1.0),
-            _get(cfg, "N", int, "", required=True),
-        )
-        values = path_values_block(spec, grid, SeedSpec(seed), np.arange(n_paths))
-        times = grid.times
-        label = spec.label()
+            dist = _parse_dist(_get(cfg, "dist", dict, ""), "/dist")
+            n = _get(cfg, "n", int, "", required=True)
+            values = iid_sums_block(dist, n, SeedSpec(seed), np.arange(n_paths))
+            times = np.arange(n + 1, dtype=float)
+            label = f"iid({dist.kind})"
+        else:
+            proc_obj = _get(cfg, "process", dict, "", required=True)
+            spec = _parse_process(proc_obj, "/process")
+            grid = UniformGrid(
+                _get(cfg, "T", float, "", default=1.0),
+                _get(cfg, "N", int, "", required=True),
+            )
+            values = path_values_block(spec, grid, SeedSpec(seed), np.arange(n_paths))
+            times = grid.times
+            label = spec.label()
+    except ValueError as exc:
+        # a producer rejected a value the schema lets through
+        raise ConfigError("/", str(exc)) from exc
     digest = config_digest(_effective_config(cfg, args))
     lines = [f"# simulated paths: {label}", f"# seed={seed}",
              f"# config_digest={digest}",
@@ -488,10 +439,8 @@ def _cmd_bound(cfg, args):
 def _estimate_from_config(cfg, args, pointer=""):
     spec = _parse_process(_get(cfg, "process", dict, pointer, required=True),
                           f"{pointer}/process")
-    grid = UniformGrid(
-        _get(cfg, "T", float, pointer, default=1.0),
-        _get(cfg, "N", int, pointer, required=True),
-    )
+    T = _get(cfg, "T", float, pointer, default=1.0)
+    N = _get(cfg, "N", int, pointer, required=True)
     epsilons = _get_epsilons(cfg, pointer)
     seed = args.seed if args.seed is not None else _get(
         cfg, "seed", int, pointer, default=0)
@@ -503,11 +452,11 @@ def _estimate_from_config(cfg, args, pointer=""):
     workers = args.workers if args.workers is not None else 1
     try:
         return estimate_small_ball(
-            spec, grid, epsilons, n_paths, seed, norm=norm,
+            spec, UniformGrid(T, N), epsilons, n_paths, seed, norm=norm,
             confidence=confidence, workers=workers,
         )
     except ValueError as exc:
-        raise ConfigError(pointer or "/", str(exc))
+        raise ConfigError(pointer or "/", str(exc)) from exc
 
 
 _ESTIMATE_KEYS = {"process", "T", "N", "epsilon", "epsilons", "n_paths", "seed",
@@ -643,13 +592,10 @@ def _cmd_toeplitz(cfg, args):
     _check_keys(cfg, {"H", "N"}, "")
     H = _check_H(_get(cfg, "H", float, "", required=True), "")
     raw = cfg.get("N", [64, 256, 1024, 4096])
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        sizes = [raw]
-    elif (isinstance(raw, list) and raw
-          and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2
-                  for n in raw)):
-        sizes = [int(n) for n in raw]
-    else:
+    sizes = [raw] if isinstance(raw, int) else raw
+    if not (isinstance(sizes, list) and sizes
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2
+                    for n in sizes)):
         raise ConfigError("/N", "expected an integer >= 2 or a list of them")
     sup = symbol_sup(fgn_symbol(H))
     sup_out = "INFINITE" if sup.infinite else sup.value
@@ -678,11 +624,14 @@ def _cmd_toeplitz(cfg, args):
 
 def _cmd_feasibility(cfg, args):
     _check_keys(cfg, {"H", "beta", "theta"}, "")
-    wit = _bounds.representation_feasibility(
-        _check_H(_get(cfg, "H", float, "", required=True), ""),
-        _get(cfg, "beta", float, "", required=True),
-        _get(cfg, "theta", float, "", required=True),
-    )
+    H = _check_H(_get(cfg, "H", float, "", required=True), "")
+    beta = _get(cfg, "beta", float, "", required=True)
+    theta = _get(cfg, "theta", float, "", required=True)
+    try:
+        wit = _bounds.representation_feasibility(H, beta, theta)
+    except ValueError as exc:
+        # a producer rejected a value the schema lets through
+        raise ConfigError("/", str(exc)) from exc
     payload = wit.to_dict()
     payload["config_digest"] = config_digest(_effective_config(cfg, args))
     _emit(payload, args.out)

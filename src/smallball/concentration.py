@@ -1,45 +1,29 @@
-"""Tail models: explicit concentration inequalities and empirical tails.
+"""Tail bounds: explicit concentration inequalities, drift tail models and
+exact binomial limits.
 
-A TailModel maps a threshold to a certified upper bound on a tail
-probability: P(|S - center| >= t) for the concentration kinds, and
-P(norm(a) >= x) for the drift kinds.  Every model is nonincreasing in the
-threshold and clamped to [0, 1].
+A TailModel maps a threshold x to a certified upper bound on the drift
+tail P(norm(a) >= x).  Every model is nonincreasing in the threshold and
+clamped to [0, 1].
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats as _stats
 
 __all__ = [
-    "CenteringChoice",
     "TailModel",
     "hoeffding_tail",
-    "hoeffding_model",
     "gauss_l2_tail",
-    "gauss_l2_model",
     "drift_bounded_model",
     "drift_borell_model",
-    "empirical_model",
-    "constant_model",
-    "EmpiricalTail",
-    "empirical_tail",
     "cp_upper",
     "cp_lower",
 ]
-
-
-class CenteringChoice(enum.Enum):
-    """Which centering I the two-sided Gaussian norm bound is stated for."""
-
-    MEAN = "mean"
-    MEDIAN = "median"
-    SQRT_SECOND_MOMENT = "sqrt_second_moment"
 
 
 def hoeffding_tail(t: float, ranges: Sequence[float]) -> float:
@@ -57,57 +41,38 @@ def hoeffding_tail(t: float, ranges: Sequence[float]) -> float:
     return min(1.0, 2.0 * math.exp(-2.0 * t * t / denom))
 
 
-def gauss_l2_tail(
-    norm2: float, h: float, centering: CenteringChoice = CenteringChoice.MEAN
-) -> float:
+def gauss_l2_tail(norm2: float, h: float) -> float:
     """Two-sided deviation bound for the Euclidean norm of a Gaussian vector.
 
-    With Gamma the covariance and ||Gamma||_2 <= norm2:
-      P(| ||Y||_2 - I | >= h) <= 2 exp(-h^2 / (2 norm2))   (I = mean or median)
-      P(| ||Y||_2 - I | >= h) <= 2 exp(-h^2 / (4 norm2))   (I = sqrt E||Y||_2^2)
-    The second-moment centering pays a factor 2 in the exponent.
+    With Gamma the covariance, ||Gamma||_2 <= norm2 and I = sqrt E||Y||_2^2:
+      P(| ||Y||_2 - I | >= h) <= 2 exp(-h^2 / (4 norm2)).
+    Centering at the second moment pays a factor 2 in the exponent against
+    the mean or the median.
     """
     if norm2 <= 0:
         raise ValueError("norm2 must be positive")
     if h < 0:
         raise ValueError("threshold must be non-negative")
-    denom = 2.0 if centering is not CenteringChoice.SQRT_SECOND_MOMENT else 4.0
-    return min(1.0, 2.0 * math.exp(-h * h / (denom * norm2)))
+    return min(1.0, 2.0 * math.exp(-h * h / (4.0 * norm2)))
 
 
 @dataclass(frozen=True)
 class TailModel:
-    """A certified tail bound, evaluable at any non-negative threshold.
+    """A certified drift tail bound, evaluable at any non-negative threshold.
 
     kinds:
-      hoeffding    -- params: ranges
-      gauss_l2     -- params: norm2, centering
-      drift_bounded-- params: bound (a.s. bound on the drift norm)
-      drift_borell -- params: mean, var (Gaussian sup concentration)
-      empirical    -- params: samples, confidence (Clopper-Pearson upper)
-      constant     -- params: level (threshold-independent bound)
+      drift_bounded -- params: bound (a.s. bound on the drift norm)
+      drift_borell  -- params: mean, var (Gaussian sup concentration)
     """
 
     kind: str
-    ranges: Optional[tuple] = None
-    norm2: Optional[float] = None
-    centering: CenteringChoice = CenteringChoice.MEAN
     bound: Optional[float] = None
     mean: Optional[float] = None
     var: Optional[float] = None
-    samples: Optional[np.ndarray] = field(default=None, repr=False)
-    confidence: float = 0.99
-    level: Optional[float] = None
 
     def evaluate(self, threshold: float) -> float:
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if self.kind == "constant":
-            return self.level
-        if self.kind == "hoeffding":
-            return hoeffding_tail(threshold, self.ranges)
-        if self.kind == "gauss_l2":
-            return gauss_l2_tail(self.norm2, threshold, self.centering)
         if self.kind == "drift_bounded":
             return 0.0 if threshold > self.bound else 1.0
         if self.kind == "drift_borell":
@@ -115,36 +80,7 @@ class TailModel:
                 return 1.0
             dev = threshold - self.mean
             return min(1.0, math.exp(-dev * dev / (2.0 * self.var)))
-        if self.kind == "empirical":
-            return empirical_tail(self.samples, threshold, self.confidence).upper
         raise ValueError(f"unknown tail model kind {self.kind!r}")
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "hoeffding":
-            out["sum_sq_ranges"] = float(np.sum(np.square(self.ranges)))
-        elif self.kind == "gauss_l2":
-            out["norm2"] = self.norm2
-            out["centering"] = self.centering.value
-        elif self.kind == "drift_bounded":
-            out["bound"] = self.bound
-        elif self.kind == "drift_borell":
-            out["mean"] = self.mean
-            out["var"] = self.var
-        elif self.kind == "empirical":
-            out["n_samples"] = int(self.samples.size)
-            out["confidence"] = self.confidence
-        elif self.kind == "constant":
-            out["level"] = self.level
-        return out
-
-
-def hoeffding_model(ranges) -> TailModel:
-    return TailModel(kind="hoeffding", ranges=tuple(float(r) for r in ranges))
-
-
-def gauss_l2_model(norm2: float, centering=CenteringChoice.MEAN) -> TailModel:
-    return TailModel(kind="gauss_l2", norm2=float(norm2), centering=centering)
 
 
 def drift_bounded_model(bound: float) -> TailModel:
@@ -159,20 +95,6 @@ def drift_borell_model(mean: float, var: float) -> TailModel:
     if var <= 0:
         raise ValueError("var must be positive")
     return TailModel(kind="drift_borell", mean=float(mean), var=float(var))
-
-
-def empirical_model(samples, confidence: float = 0.99) -> TailModel:
-    samples = np.sort(np.asarray(samples, dtype=float))
-    if samples.size < 1:
-        raise ValueError("samples must be non-empty")
-    return TailModel(kind="empirical", samples=samples, confidence=float(confidence))
-
-
-def constant_model(level: float) -> TailModel:
-    """A tail bounded by a constant, regardless of threshold."""
-    if not (0.0 <= level <= 1.0):
-        raise ValueError("level must lie in [0, 1]")
-    return TailModel(kind="constant", level=float(level))
 
 
 # ---------------------------------------------------------------------------
@@ -200,24 +122,3 @@ def _check_counts(k, n, confidence):
         raise ValueError(f"invalid counts k={k}, n={n}")
     if not (0.5 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0.5, 1), got {confidence}")
-
-
-@dataclass(frozen=True)
-class EmpiricalTail:
-    p_hat: float
-    upper: float
-    k: int
-    n: int
-    confidence: float
-
-
-def empirical_tail(samples, threshold: float, confidence: float = 0.99) -> EmpiricalTail:
-    """Empirical exceedance frequency with its exact binomial upper limit."""
-    samples = np.asarray(samples, dtype=float)
-    n = int(samples.size)
-    if n < 1:
-        raise ValueError("samples must be non-empty")
-    k = int(np.count_nonzero(samples >= threshold))
-    return EmpiricalTail(
-        p_hat=k / n, upper=cp_upper(k, n, confidence), k=k, n=n, confidence=confidence
-    )

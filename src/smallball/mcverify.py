@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .concentration import cp_lower, cp_upper
 from .errors import InvalidComparisonError
 from .paths import UniformGrid, holder_norm_batch
 from .simulate import (
-    PURPOSE_PROCESS,
     ProcessSpec,
     SeedSpec,
     compose_values_block,
@@ -58,32 +57,11 @@ __all__ = [
 CHUNK = 256
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Path norm of the small-deviation event."""
-
-    kind: str
-    beta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in ("sup", "l1", "holder"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "holder":
-            if self.beta is None or not (0.0 < self.beta < 1.0):
-                raise ValueError("holder norm requires beta in (0, 1)")
-        elif self.beta is not None:
-            raise ValueError(f"norm {self.kind!r} takes no beta")
-
-    def label(self) -> str:
-        return f"holder({self.beta:g})" if self.kind == "holder" else self.kind
-
-    def regime(self) -> Regime:
-        if self.kind == "holder":
-            return Regime.holder(self.beta)
-        return Regime(self.kind)
+# the path norm of the small-deviation event is the certificate's regime
+NormSpec = Regime
 
 
-def _norms_block(values: np.ndarray, delta: float, norm: NormSpec) -> np.ndarray:
+def _norms_block(values: np.ndarray, delta: float, norm: Regime) -> np.ndarray:
     if norm.kind == "sup":
         return np.abs(values).max(axis=1)
     if norm.kind == "l1":
@@ -117,7 +95,7 @@ def _holder_counts(values, delta, beta, epsilons):
     return np.array([(running <= e).sum() for e in epsilons], dtype=np.int64)
 
 
-def _counts_block(values, delta, norm: NormSpec, epsilons) -> np.ndarray:
+def _counts_block(values, delta, norm: Regime, epsilons) -> np.ndarray:
     if norm.kind == "holder":
         return _holder_counts(values, delta, norm.beta, epsilons)
     norms = _norms_block(values, delta, norm)
@@ -145,18 +123,6 @@ def _multi_count_job(args):
         )
         for spec in specs
     ])
-
-
-def _norm_job(args):
-    spec, grid, seed, start, size, norm, which = args
-    streams = np.arange(start, start + size)
-    if which == "drift":
-        values = drift_values_block(spec, grid, seed, streams)
-    elif which == "x":
-        values = path_values_block(spec, grid, seed, streams)
-    else:
-        raise ValueError(which)
-    return _norms_block(values, grid.delta, norm)
 
 
 def _run_jobs(job, tasks, workers: int):
@@ -279,7 +245,7 @@ def estimate_small_ball(
     epsilons: Sequence[float],
     n_paths: int,
     seed: int,
-    norm: NormSpec = NormSpec("sup"),
+    norm: Regime = Regime.sup(),
     confidence: float = 0.99,
     workers: int = 1,
 ) -> EstimateTable:
@@ -306,7 +272,7 @@ def estimate_small_ball_drifts(
     epsilons: Sequence[float],
     n_paths: int,
     seed: int,
-    norm: NormSpec = NormSpec("sup"),
+    norm: Regime = Regime.sup(),
     confidence: float = 0.99,
     workers: int = 1,
 ) -> list:
@@ -342,7 +308,6 @@ def partition_norm_samples(
     p: float,
     n_paths: int,
     seed: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Draws of |X|_p, the l^p increment norm of the centered process.
 
@@ -374,12 +339,12 @@ def partition_norm_samples(
 def drift_norm_samples(
     spec: ProcessSpec,
     grid: UniformGrid,
-    norm: NormSpec,
+    norm: Regime,
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
     """Draws of the drift norm entering the split (sup of |a|, or its l1)."""
-    drift_norm = NormSpec("l1") if norm.kind == "l1" else NormSpec("sup")
+    drift_norm = Regime.l1() if norm.kind == "l1" else Regime.sup()
     seed_spec = SeedSpec(seed)
     out = []
     for start, size in _chunk_ranges(n_paths):
@@ -551,7 +516,6 @@ def _check_partition_nesting(table: EstimateTable, cert: Certificate):
 def verify_certificates(
     table: EstimateTable,
     certificates: Sequence[Certificate],
-    check_nesting: bool = True,
 ) -> VerifyReport:
     """Check each certificate against the matching empirical estimate.
 
@@ -581,8 +545,7 @@ def verify_certificates(
                 f"epsilon mismatch: estimate {est.epsilon!r} vs "
                 f"certificate {cert.epsilon!r}"
             )
-        if check_nesting:
-            _check_partition_nesting(table, cert)
+        _check_partition_nesting(table, cert)
         if cert.vacuous:
             verdict = "VACUOUS"
         elif est.cp_upper <= cert.total:

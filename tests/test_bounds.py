@@ -15,24 +15,19 @@ from scipy.special import zeta
 from smallball.bounds import (
     Certificate,
     Regime,
-    SearchConfig,
     bound_fbm_holder_norm,
     bound_gaussian_class,
     bound_holder_indep,
     bound_iid_sum,
     bound_stationary,
-    certify_general,
     drift_threshold,
+    empirical_certificate,
     feasible,
     iid_sum_certificate,
     representation_feasibility,
     witness_margins,
 )
-from smallball.concentration import (
-    CenteringChoice,
-    constant_model,
-    drift_bounded_model,
-)
+from smallball.concentration import cp_upper, drift_bounded_model, gauss_l2_tail
 from smallball.errors import EpsilonTooLargeError, InfeasibleCertificateError
 from smallball.simulate import DistSpec
 
@@ -113,65 +108,6 @@ class TestCertificateContainer:
                 epsilon=0.1, T=1.0, regime=Regime.sup(), p=2, N=4, delta=0.25,
                 I=1.0, term_concentration=0.1, term_drift=0.0, mode="GUESS",
             )
-
-
-class TestCertifyGeneral:
-    @staticmethod
-    def _i_rule(p, N, delta):
-        # proportional to the sup feasibility threshold, with 25% headroom
-        return 5.0 * float(N) ** (1.0 / p) * 0.1
-
-    def test_constant_concentration_passes_through(self):
-        cert = certify_general(
-            epsilon=0.1,
-            T=1.0,
-            regime=Regime.sup(),
-            i_rule=self._i_rule,
-            concentration=lambda p, N, delta, I: constant_model(0.3),
-        )
-        assert cert.total == pytest.approx(0.3)
-        assert cert.term_drift == 0.0
-        # without a drift model the concentration threshold is I/2
-        assert cert.provenance["threshold_concentration"] == pytest.approx(cert.I / 2)
-
-    def test_drift_model_enters_total(self):
-        cert = certify_general(
-            epsilon=0.1,
-            T=1.0,
-            regime=Regime.sup(),
-            i_rule=self._i_rule,
-            concentration=lambda p, N, delta, I: constant_model(0.25),
-            drift=constant_model(0.2),
-        )
-        assert cert.total == pytest.approx(0.45)
-        assert cert.provenance["threshold_concentration"] == pytest.approx(cert.I / 4)
-        assert cert.provenance["threshold_drift"] == pytest.approx(
-            drift_threshold(Regime.sup(), cert.p, cert.N, cert.delta, cert.I)
-        )
-
-    def test_infeasible_raises_with_nearest_witness(self):
-        with pytest.raises(InfeasibleCertificateError) as exc:
-            certify_general(
-                epsilon=0.1,
-                T=1.0,
-                regime=Regime.sup(),
-                i_rule=lambda p, N, delta: 1e-6,
-                concentration=lambda p, N, delta, I: constant_model(0.3),
-            )
-        assert exc.value.tightest is not None
-        assert exc.value.tightest["relative_gap"] > 0
-
-    def test_mesh_snapping_restricts_grid(self):
-        cert = certify_general(
-            epsilon=0.1,
-            T=1.0,
-            regime=Regime.sup(),
-            i_rule=self._i_rule,
-            concentration=lambda p, N, delta, I: constant_model(0.3),
-            search=SearchConfig(delta_mesh=1.0 / 64),
-        )
-        ratio = cert.delta / (1.0 / 64)
-        assert abs(ratio - round(ratio)) < 1e-9
 
 
 class TestIidSum:
@@ -381,7 +317,46 @@ class TestGaussianClass:
 
     def test_centering_choice_recorded(self):
         cert = bound_gaussian_class(0.3, 0.3, 1.0, 1.0, 1.0, T=1.0, epsilon=0.05)
-        assert cert.provenance["centering"] is CenteringChoice.SQRT_SECOND_MOMENT
+        assert cert.provenance["centering"] == "sqrt_second_moment"
+
+    def test_discrete_term_is_gauss_l2_tail(self):
+        cert = bound_gaussian_class(0.3, 0.3, 1.0, 1.0, 1.0, T=1.0, epsilon=0.05)
+        d = cert.provenance["discrete"]
+        h = cert.provenance["threshold_concentration"]
+        assert d["term_concentration"] == gauss_l2_tail(d["gamma_two_norm_bound"], h)
+        # the recorded exponent is the one the tail was evaluated at
+        assert d["term_concentration"] == min(1.0, 2.0 * math.exp(-d["exponent"]))
+
+
+class TestEmpiricalCertificate:
+    X = np.array([1.0, 2.0, 2.0, 2.0, 3.0])  # sample median I = 2
+    A = np.array([0.1, 0.5, 0.7, 0.2])
+
+    def test_terms_are_binomial_upper_limits(self):
+        cert = empirical_certificate(0.1, 1.0, Regime.sup(), 2.0, 1, 1.0,
+                                     self.X, self.A, confidence=0.9)
+        assert cert.I == 2.0 and cert.mode == "STATISTICAL"
+        # with a drift the split uses h = I/4 and x = I N^(-1/p) / (4 delta)
+        assert cert.provenance["threshold_concentration"] == 0.5
+        assert cert.provenance["threshold_drift"] == 0.5
+        # |x - I| >= 0.5 twice in 5 draws; a >= 0.5 twice in 4
+        assert cert.provenance["exceed_concentration"] == 2
+        assert cert.provenance["exceed_drift"] == 2
+        assert cert.term_concentration == cp_upper(2, 5, 0.9)
+        assert cert.term_drift == cp_upper(2, 4, 0.9)
+        assert cert.confidence == pytest.approx(0.8)
+
+    def test_without_drift_samples(self):
+        cert = empirical_certificate(0.1, 1.0, Regime.sup(), 2.0, 1, 1.0,
+                                     self.X, confidence=0.9)
+        assert cert.provenance["threshold_concentration"] == 1.0
+        assert cert.term_concentration == cp_upper(2, 5, 0.9)
+        assert cert.term_drift == 0.0 and cert.confidence == 0.9
+
+    def test_infeasible_median_raises(self):
+        # sup feasibility needs 4 N^(1/p) <= I / epsilon = 2 / 0.6
+        with pytest.raises(InfeasibleCertificateError):
+            empirical_certificate(0.6, 1.0, Regime.sup(), 2.0, 1, 1.0, self.X)
 
 
 class TestRepresentationFeasibility:

@@ -4,13 +4,20 @@ Every assertion goes through the public entry point: JSON in, artifacts
 and JSON out, machine-readable errors with pointers on stderr.
 """
 
+import contextlib
+import copy
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallball.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run_cli(tmp_path, capsys, command, config, *extra):
@@ -393,3 +400,143 @@ class TestArtifactErrors:
         )
         assert code == 2
         assert parse_error(err)["type"] == "io"
+
+
+class TestGoldenBytes:
+    """Certificate JSON and an estimate CSV, byte for byte.
+
+    Each case in cases.json names a command and its config; <case>.out
+    holds the bytes the command wrote (stdout for `bound`, the --out CSV
+    for `estimate`).
+    """
+
+    CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_bytes_unchanged(self, name, tmp_path, capsys):
+        case = self.CASES[name]
+        out = tmp_path / "out.csv"
+        extra = ("--out", str(out)) if case["command"] == "estimate" else ()
+        code, stdout, err = run_cli(
+            tmp_path, capsys, case["command"], case["config"], *extra)
+        assert code == 0, err
+        text = out.read_text() if extra else stdout
+        assert text.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+class TestProducerErrors:
+    """Values the schema lets through but a producer rejects end as config
+    errors with exit 2, not as tracebacks."""
+
+    @pytest.mark.parametrize("command,config,pointer,message", [
+        ("feasibility", {"H": 0.75, "beta": 1.5, "theta": 0.2}, "/",
+         "H and beta must lie in (0, 1)"),
+        ("estimate", {"process": {"kind": "bm"}, "N": 0, "epsilons": [0.5],
+                      "n_paths": 1000}, "/", "N must be an integer >= 1, got 0"),
+        ("simulate", {"process": {"kind": "bm"}, "N": 0}, "/",
+         "N must be an integer >= 1, got 0"),
+        ("simulate", {"dist": {"kind": "rademacher"}, "n": 0}, "/",
+         "n must be >= 1"),
+        ("simulate", {"process": {"kind": "bm"}, "N": 8, "T": -1}, "/",
+         "T must be positive, got -1.0"),
+        ("simulate", {"dist": 1, "n": 4}, "/dist", "expected dict"),
+        ("toeplitz", {"H": 0.3, "N": 0}, "/N",
+         "expected an integer >= 2 or a list of them"),
+        ("bound", {"kind": "gaussian_class", "H": 0.3, "epsilons": [0.1],
+                   "delta_mesh": 0}, "/", "delta_mesh must be positive"),
+    ], ids=["feasibility-beta", "estimate-N", "simulate-N", "simulate-n",
+            "simulate-T", "simulate-dist", "toeplitz-N", "bound-mesh"])
+    def test_config_error(self, command, config, pointer, message, tmp_path,
+                          capsys):
+        code, _, err = run_cli(tmp_path, capsys, command, config,
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert parse_error(err) == {"type": "config", "pointer": pointer,
+                                    "message": message}
+
+
+# Fuzzed configs start from a valid config of each shape and replace or
+# delete one or two keys (nested keys included) with a value from a small
+# pool of valid and invalid values.  Bases and pool keep every run cheap:
+# grids of at most 64 steps, at most 4 paths, and radii and exponents for
+# which the certificate witness grids stay small.
+_FUZZ_BASES = [
+    ("feasibility", {"H": 0.75, "beta": 0.6, "theta": 0.2}),
+    ("simulate", {"process": {"kind": "fbm", "H": 0.3, "method": "circulant",
+                              "drift": {"kind": "fbm", "H2": 0.75}},
+                  "T": 1.0, "N": 64, "n_paths": 2, "seed": 1}),
+    ("simulate", {"dist": {"kind": "scaled_beta", "a": 2.0, "b": 2.0,
+                           "low": -1.0, "high": 1.0},
+                  "n": 8, "n_paths": 2, "seed": 1}),
+    ("bound", {"kind": "gaussian_class", "H": 0.3, "beta": 0.3, "c": 1.0,
+               "C": 1.0, "c_deriv": 1.0, "T": 1.0, "delta_mesh": 0.015625,
+               "drift_model": {"kind": "gauss_borell", "mean": 0.1,
+                               "var": 0.3},
+               "vacuous_on_infeasible": True, "epsilons": [0.1, 0.3]}),
+    ("bound", {"kind": "iid_sum", "dist": {"kind": "uniform", "low": -1.0,
+                                           "high": 1.0},
+               "n": 4, "mode": "SHARP", "epsilons": [0.1]}),
+    ("bound", {"kind": "holder_indep", "H": 0.3, "beta": 0.5, "c_inc": 1.0,
+               "holder_bound": 1.0, "T": 1.0, "epsilons": [0.1, 0.3]}),
+    ("bound", {"kind": "fbm_holder", "H": 0.4, "beta": 0.2, "c_deriv": 1.0,
+               "T": 1.0, "epsilons": [0.1, 0.3]}),
+    ("bound", {"kind": "stationary", "H": 0.3, "Delta": 1.0, "T": 1.0,
+               "ratio_bound": 1.5, "symbol_sup": 2.0,
+               "vacuous_on_infeasible": False, "epsilons": [0.1, 0.3]}),
+    ("bound", {"process": {"kind": "bm", "drift": {"kind": "constant",
+                                                   "level": 0.3}},
+               "beta": 0.5, "T": 1.0, "delta_mesh": 0.015625,
+               "epsilons": [0.1, 0.3]}),
+    ("toeplitz", {"H": 0.3, "N": [16, 64]}),
+]
+_FUZZ_VALUES = st.sampled_from([
+    -1, 0, 1, 2, 4, -1.0, 0.0, 0.3, 0.75, 1.5, 64.0,
+    "x", "fbm", True, None, [], [0.3], {}, {"kind": "bm"},
+])
+
+
+def _key_paths(obj, prefix=()):
+    for key, val in obj.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    command, base = draw(st.sampled_from(_FUZZ_BASES))
+    config = copy.deepcopy(base)
+    paths = list(_key_paths(base))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(paths))
+        parent = config
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue  # an earlier edit replaced or deleted the parent
+        if draw(st.integers(0, 3)) == 0:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(_FUZZ_VALUES))
+    return command, config
+
+
+class TestFuzzedConfigs:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_fuzzed_configs())
+    def test_exit_code_and_error_object(self, command_config):
+        command, config = command_config
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "config.json"
+            cfg_path.write_text(json.dumps(config))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg_path),
+                             "--out", str(Path(tmp) / "out.csv")])
+        assert code in (0, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            payload = json.loads(lines[0])
+            assert list(payload) == ["error"]
+            assert isinstance(payload["error"]["message"], str)

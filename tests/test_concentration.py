@@ -12,18 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
+from smallball.bounds import Regime, empirical_certificate
 from smallball.concentration import (
-    CenteringChoice,
-    constant_model,
     cp_lower,
     cp_upper,
     drift_borell_model,
     drift_bounded_model,
-    empirical_model,
-    empirical_tail,
-    gauss_l2_model,
     gauss_l2_tail,
-    hoeffding_model,
     hoeffding_tail,
 )
 
@@ -82,17 +77,12 @@ class TestHoeffding:
 
 class TestGaussL2:
     def test_mean_vs_second_moment_centering(self):
-        # second-moment centering costs a factor 2 in the exponent
-        mean = gauss_l2_tail(1.0, 2.0)
-        second = gauss_l2_tail(1.0, 2.0, CenteringChoice.SQRT_SECOND_MOMENT)
-        assert mean == pytest.approx(2.0 * math.exp(-2.0), rel=1e-13)
+        # second-moment centering costs a factor 2 in the exponent against
+        # the mean-centered bound 2 exp(-h^2 / (2 norm2))
+        mean = 2.0 * math.exp(-2.0 * 2.0 / (2.0 * 1.0))
+        second = gauss_l2_tail(1.0, 2.0)
         assert second == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
         assert second == pytest.approx(math.sqrt(2.0 * mean), rel=1e-13)
-
-    def test_median_uses_mean_constant(self):
-        assert gauss_l2_tail(1.0, 2.0, CenteringChoice.MEDIAN) == gauss_l2_tail(
-            1.0, 2.0, CenteringChoice.MEAN
-        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,18 +92,10 @@ class TestGaussL2:
 
 
 class TestTailModels:
-    def test_constant_model(self):
-        m = constant_model(0.3)
-        assert m.evaluate(0.0) == 0.3
-        assert m.evaluate(100.0) == 0.3
-        with pytest.raises(ValueError):
-            constant_model(1.5)
-
     def test_drift_bounded_is_an_indicator(self):
         m = drift_bounded_model(1.0)
         assert m.evaluate(1.0) == 1.0  # threshold not strictly above the bound
         assert m.evaluate(1.0 + 1e-12) == 0.0
-        assert m.describe() == {"kind": "drift_bounded", "bound": 1.0}
 
     def test_drift_borell_above_and_below_mean(self):
         m = drift_borell_model(mean=1.0, var=0.25)
@@ -121,26 +103,24 @@ class TestTailModels:
         assert m.evaluate(1.0) == 1.0
         assert m.evaluate(2.0) == pytest.approx(math.exp(-1.0 / 0.5), rel=1e-13)
 
-    def test_hoeffding_model_delegates(self):
-        m = hoeffding_model([1.0] * 4)
-        assert m.evaluate(2.0) == hoeffding_tail(2.0, [1.0] * 4)
-        assert m.describe()["sum_sq_ranges"] == 4.0
-
-    def test_gauss_model_delegates(self):
-        m = gauss_l2_model(0.5, CenteringChoice.SQRT_SECOND_MOMENT)
-        assert m.evaluate(1.0) == gauss_l2_tail(0.5, 1.0, CenteringChoice.SQRT_SECOND_MOMENT)
-        assert m.describe()["centering"] == "sqrt_second_moment"
-
     def test_empirical_model_upper_limit(self):
+        # the empirical tail is the Clopper-Pearson upper limit of the
+        # exceedance count; in the sup regime with N = 1, delta = 1 the
+        # drift threshold is I / 4
         samples = np.arange(100, dtype=float)
-        m = empirical_model(samples, confidence=0.95)
+        cert = empirical_certificate(0.1, 1.0, Regime.sup(), 2.0, 1, 1.0,
+                                     [360.0, 360.0], samples, confidence=0.95)
         # 10 of 100 samples are >= 90
-        assert m.evaluate(90.0) == cp_upper(10, 100, 0.95)
-        assert m.evaluate(1000.0) == cp_upper(0, 100, 0.95)
+        assert cert.provenance["threshold_drift"] == 90.0
+        assert cert.term_drift == cp_upper(10, 100, 0.95)
+        cert = empirical_certificate(0.1, 1.0, Regime.sup(), 2.0, 1, 1.0,
+                                     [4000.0, 4000.0], samples, confidence=0.95)
+        assert cert.provenance["threshold_drift"] == 1000.0
+        assert cert.term_drift == cp_upper(0, 100, 0.95)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            constant_model(0.1).evaluate(-1.0)
+            drift_bounded_model(1.0).evaluate(-1.0)
 
 
 class TestClopperPearson:
@@ -188,13 +168,15 @@ class TestClopperPearson:
 
 class TestEmpiricalTail:
     def test_counts_and_limits(self):
+        # median I = 3.6 puts the drift threshold at I / 4 = 0.9 and the
+        # concentration threshold at h = I / 4 = 0.9
+        x = np.array([2.6, 3.6, 3.6, 3.6, 4.6])
         samples = np.array([0.1, 0.5, 0.9, 1.5, 2.0])
-        res = empirical_tail(samples, 0.9, confidence=0.9)
-        assert res.k == 3 and res.n == 5
-        assert res.p_hat == 0.6
-        assert res.upper == cp_upper(3, 5, 0.9)
-
-    def test_monotone_in_threshold(self):
-        samples = np.linspace(0, 1, 101)
-        uppers = [empirical_tail(samples, t).upper for t in (0.2, 0.5, 0.8)]
-        assert uppers[0] >= uppers[1] >= uppers[2]
+        cert = empirical_certificate(0.1, 1.0, Regime.sup(), 2.0, 1, 1.0,
+                                     x, samples, confidence=0.9)
+        assert cert.provenance["threshold_drift"] == 0.9
+        assert cert.provenance["exceed_drift"] == 3
+        assert cert.provenance["exceed_drift"] / samples.size == 0.6
+        assert cert.term_drift == cp_upper(3, 5, 0.9)
+        assert cert.provenance["exceed_concentration"] == 2
+        assert cert.term_concentration == cp_upper(2, 5, 0.9)

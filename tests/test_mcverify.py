@@ -51,11 +51,13 @@ def _bm_sup_reflection(eps):
 
 class TestNormSpec:
     def test_labels_and_regimes(self):
+        # the norm of the event and the certificate regime are one type
+        assert NormSpec is Regime
         assert NormSpec("sup").label() == "sup"
-        assert NormSpec("l1").regime().kind == "l1"
+        assert NormSpec("l1") == Regime.l1()
         h = NormSpec("holder", beta=0.25)
         assert h.label() == "holder(0.25)"
-        assert h.regime().beta == 0.25
+        assert h == Regime.holder(0.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -311,9 +313,6 @@ class TestVerify:
         bad = _cert(0.5, 0.9, delta=0.3 / 256, N=850)
         with pytest.raises(InvalidComparisonError):
             verify_certificates(self._table([0.5]), [bad])
-        # the same certificate passes when nesting checks are disabled
-        report = verify_certificates(self._table([0.5]), [bad], check_nesting=False)
-        assert report.rows[0].verdict in ("PASS", "FAIL")
 
     def test_witnessless_vacuous_certificate_skips_nesting(self):
         c = Certificate.vacuous_certificate(0.5, 1.0, Regime.sup(), reason="infeasible")
