@@ -15,7 +15,6 @@ from smallball.gausscov import (
     fgn_symbol,
     symbol_sup,
     gamma_two_norm_bound,
-    matrix_norms,
 )
 
 for H in (0.3, 0.45, 0.7):
@@ -36,5 +35,4 @@ for H in (0.3, 0.45, 0.7):
 # H = 1/2 is the white-noise corner: the correlation matrix is the
 # identity and the symbol is flat
 cov = increment_covariance(sigma2_fbm(0.5), UniformGrid(64.0, 64))
-norms = matrix_norms(cov)
-print(f"\nH=0.5 sanity: two-norm = {norms.two:.12f} (identity)")
+print(f"\nH=0.5 sanity: two-norm = {cov.two_norm():.12f} (identity)")

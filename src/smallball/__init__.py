@@ -11,7 +11,6 @@ every certificate.
 from .errors import (
     SmallBallError,
     EmbeddingFailureError,
-    DegenerateProcessError,
     InfeasibleCertificateError,
     EpsilonTooLargeError,
     InvalidComparisonError,
@@ -20,7 +19,6 @@ from .errors import (
 from .paths import (
     UniformGrid,
     SamplePath,
-    build_grid,
     sup_norm,
     l1_norm,
     holder_norm,
@@ -34,22 +32,16 @@ from .simulate import (
     ProcessSpec,
     fgn_autocovariance,
     fgn_increments_block,
-    simulate_fgn,
-    simulate_iid_partial_sums,
-    simulate_path,
     path_values_block,
     drift_values_block,
-    compose_drift,
 )
 from .gausscov import (
     IncrementalVariance,
     IncrementCovariance,
-    MatrixNorms,
     sigma2_fbm,
     sigma2_profile,
     fbm_cover_constant,
     increment_covariance,
-    matrix_norms,
     toeplitz_eig_enclosure,
     s_weight,
     s_weight_envelope,
@@ -57,7 +49,6 @@ from .gausscov import (
     SpectralSymbol,
     fgn_symbol,
     symbol_sup,
-    estimate_class_parameters,
 )
 from .concentration import (
     TailModel,

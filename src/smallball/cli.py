@@ -105,6 +105,12 @@ def _get_epsilons(cfg, pointer, required=True, default=None):
     return [float(e) for e in eps]
 
 
+def _numbers(vals: list, pointer: str) -> list:
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
+        raise ConfigError(pointer, "expected a list of numbers")
+    return vals
+
+
 def _check_H(H: float, pointer: str) -> float:
     if not 0.0 < H < 1.0:
         raise ConfigError(f"{pointer}/H", "H must lie in (0,1)")
@@ -127,7 +133,7 @@ def _parse_drift(obj, pointer) -> DriftSpec:
 
 
 def _parse_process(obj, pointer) -> ProcessSpec:
-    _check_keys(obj, {"kind", "H", "method", "drift"}, pointer)
+    _check_keys(obj, {"kind", "H", "drift"}, pointer)
     kind = _get(obj, "kind", str, pointer, required=True)
     if kind not in ("fbm", "bm"):
         raise ConfigError(f"{pointer}/kind", "expected 'fbm' or 'bm'")
@@ -136,12 +142,7 @@ def _parse_process(obj, pointer) -> ProcessSpec:
     drift_obj = _get(obj, "drift", dict, pointer, default=None)
     drift = _parse_drift(drift_obj, f"{pointer}/drift") if drift_obj else DriftSpec()
     try:
-        return ProcessSpec(
-            kind=kind,
-            H=H,
-            method=_get(obj, "method", str, pointer, default="circulant"),
-            drift=drift,
-        )
+        return ProcessSpec(kind=kind, H=H, drift=drift)
     except ValueError as exc:
         raise ConfigError(pointer, str(exc))
 
@@ -488,9 +489,15 @@ def _read_estimates_csv(path):
                 header = line.split(",")
                 continue
             rec = dict(zip(header, line.split(",")))
-            eps.append(float(rec["epsilon"]))
-            vals.append(float(rec["p_hat"]))
-            counts.append(int(rec.get("n_paths", 0)))
+            try:
+                eps.append(float(rec["epsilon"]))
+                vals.append(float(rec["p_hat"]))
+                counts.append(int(rec.get("n_paths", 0)))
+            except KeyError as exc:
+                raise ConfigError("/estimates_csv",
+                                  f"{path}: missing column {exc.args[0]!r}") from exc
+            except ValueError as exc:
+                raise ConfigError("/estimates_csv", f"{path}: {exc}") from exc
     if not eps:
         raise ConfigError("/estimates_csv", f"no data rows in {path}")
     return eps, vals, (max(counts) if counts else 0)
@@ -505,13 +512,13 @@ def _cmd_rate(cfg, args):
             _get(cfg, "estimates_csv", str, ""))
     else:
         eps = _get_epsilons(cfg, "")
-        vals = _get(cfg, "values", list, "", required=True)
+        vals = _numbers(_get(cfg, "values", list, "", required=True), "/values")
     window = _get(cfg, "value_window", list, "", default=None)
     if window is None and n_paths > 0:
         # empirical curves carry binomial noise at the ends; keep points
         # with at least ~50 hits and p_hat below 0.9
         window = [50.0 / n_paths, 0.9]
-    if window is not None and len(window) != 2:
+    if window is not None and len(_numbers(window, "/value_window")) != 2:
         raise ConfigError("/value_window", "expected [lo, hi]")
     try:
         fit = _mc.fit_rate(
@@ -554,13 +561,16 @@ def _cmd_verify(cfg, args):
     cfg.setdefault("N", 2048 if norm.kind == "holder" else 8192)
     if args.paths is None:
         cfg.setdefault("n_paths", 10_000)
-    T = _get(cfg, "T", float, "", default=1.0)
-    N = _get(cfg, "N", int, "", required=True)
+    try:
+        grid = UniformGrid(_get(cfg, "T", float, "", default=1.0),
+                           _get(cfg, "N", int, "", required=True))
+    except ValueError as exc:
+        raise ConfigError("/", str(exc)) from exc
 
     bound_cfg = _get(cfg, "bound", dict, "", default=None)
     if bound_cfg is None:
         bound_cfg = {"process": _get(cfg, "process", dict, "", required=True),
-                     "T": T}
+                     "T": grid.T}
     else:
         bound_cfg = dict(bound_cfg)
         if _EPS_KEYS & bound_cfg.keys():
@@ -570,7 +580,7 @@ def _cmd_verify(cfg, args):
     if "kind" not in bound_cfg or bound_cfg.get("kind") == "gaussian_class":
         # snap certificate partitions onto the simulation grid so the
         # certified event contains the simulated discrete event
-        bound_cfg.setdefault("delta_mesh", T / N)
+        bound_cfg.setdefault("delta_mesh", grid.delta)
     certs = certificates_from_config(bound_cfg, "/bound")
 
     est_cfg = {k: v for k, v in cfg.items() if k != "bound"}

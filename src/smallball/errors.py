@@ -9,10 +9,6 @@ class EmbeddingFailureError(SmallBallError):
     """Circulant embedding produced eigenvalues negative beyond tolerance."""
 
 
-class DegenerateProcessError(SmallBallError):
-    """Increment variance vanished where a positive value is required."""
-
-
 class InfeasibleCertificateError(SmallBallError):
     """No (p, N, delta, I) tuple satisfies the regime constraint.
 

@@ -3,10 +3,10 @@
 The variance profile sigma2(s, t) = E (X_t - X_s)^2 determines the
 covariance of the increment vector Y_k = X_{t_k} - X_{t_{k-1}} by
 polarization.  This module builds that matrix (exploiting the Toeplitz
-structure of stationary-increment profiles), computes matrix norms, the
-summable two-norm bound used by the explicit certificates, and the
-spectral density of fractional Gaussian noise, whose supremum is the
-large-N limit of the Toeplitz eigenvalues.
+structure of stationary-increment profiles) and encloses its extreme
+eigenvalues.  It also computes the summable two-norm bound used by the
+explicit certificates, and the spectral density of fractional Gaussian
+noise, whose supremum is the large-N limit of the Toeplitz eigenvalues.
 """
 
 from __future__ import annotations
@@ -21,21 +21,17 @@ from scipy import integrate as _integrate
 from scipy import linalg as _sla
 from scipy import special as _special
 
-from .errors import DegenerateProcessError
 from .paths import UniformGrid
 from .simulate import fgn_autocovariance
 
 __all__ = [
     "IncrementalVariance",
     "IncrementCovariance",
-    "MatrixNorms",
-    "ClassEstimate",
     "SpectralSymbol",
     "SymbolSup",
     "sigma2_fbm",
     "sigma2_profile",
     "increment_covariance",
-    "matrix_norms",
     "toeplitz_eig_enclosure",
     "s_weight",
     "s_weight_envelope",
@@ -43,25 +39,14 @@ __all__ = [
     "fbm_cover_constant",
     "fgn_symbol",
     "symbol_sup",
-    "estimate_class_parameters",
 ]
 
 @dataclass(frozen=True)
 class IncrementalVariance:
-    """Variance profile sigma2(s, t) with optional envelope metadata.
-
-    The envelope constants describe c |t-s|^{2 beta} <= sigma2 <=
-    C |t-s|^{2H}; ``c_deriv`` is the constant in the entrywise increment
-    covariance cover |E Y_i Y_j| <= c_deriv delta^{2H} (1+|i-j|)^{2H-2}.
-    """
+    """Variance profile sigma2(s, t); ``stationary`` None means unknown."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stationary: Optional[bool] = None
-    H: Optional[float] = None
-    beta: Optional[float] = None
-    c: Optional[float] = None
-    C: Optional[float] = None
-    c_deriv: Optional[float] = None
 
     def __call__(self, s, t):
         return self.fn(s, t)
@@ -77,14 +62,12 @@ def sigma2_fbm(H: float) -> IncrementalVariance:
             2.0 * H
         )
 
-    return IncrementalVariance(
-        fn, stationary=True, H=H, beta=H, c=1.0, C=1.0, c_deriv=fbm_cover_constant(H)
-    )
+    return IncrementalVariance(fn, stationary=True)
 
 
-def sigma2_profile(fn, stationary: Optional[bool] = None, **metadata) -> IncrementalVariance:
+def sigma2_profile(fn, stationary: Optional[bool] = None) -> IncrementalVariance:
     """Wrap a plain sigma2 callable; stationarity is probed if unknown."""
-    return IncrementalVariance(fn=fn, stationary=stationary, **metadata)
+    return IncrementalVariance(fn=fn, stationary=stationary)
 
 
 def fbm_cover_constant(H: float, scan: int = 4096) -> float:
@@ -100,14 +83,6 @@ def fbm_cover_constant(H: float, scan: int = 4096) -> float:
 
 # ---------------------------------------------------------------------------
 # increment covariance matrix
-
-
-@dataclass(frozen=True)
-class MatrixNorms:
-    one: float
-    two: float
-    infinity: float
-    frobenius: float
 
 
 def _eval_pairs(fn, s, t):
@@ -142,8 +117,9 @@ class IncrementCovariance:
     """Covariance of the increment vector on a uniform grid.
 
     ``first_row`` is populated when the matrix is Toeplitz; the dense
-    matrix is materialized on demand.  Norms are computed once and cached
-    (idempotent, so concurrent readers at worst duplicate work).
+    matrix is materialized on demand.  Eigenvalue enclosures are computed
+    once and cached (idempotent, so concurrent readers at worst duplicate
+    work).
     """
 
     grid: UniformGrid
@@ -179,24 +155,6 @@ class IncrementCovariance:
         return (toeplitz_eig_enclosure(self.first_row, "min") if self.toeplitz
                 else (float(self._dense_eigs[0]),) * 2)
 
-    @cached_property
-    def norms(self) -> MatrixNorms:
-        if self.toeplitz:
-            a = np.abs(self.first_row)
-            csum = np.concatenate([[0.0], np.cumsum(a)])
-            j = np.arange(1, self.N + 1)
-            col = csum[j] + csum[self.N - j + 1] - a[0]
-            one = float(np.max(col))
-            sq = self.first_row**2
-            m = np.arange(1, self.N)
-            fro = math.sqrt(self.N * sq[0] + float(np.sum(2.0 * (self.N - m) * sq[1:])))
-        else:
-            colsum = np.sum(np.abs(self.gamma), axis=0)
-            one = float(np.max(colsum))
-            fro = float(np.linalg.norm(self.gamma, "fro"))
-        lo, hi = self.lambda_range()
-        return MatrixNorms(one=one, two=max(abs(lo), abs(hi)), infinity=one, frobenius=fro)
-
     def lambda_max(self) -> float:
         """Largest eigenvalue: the upper end of its enclosure."""
         return self._max_enclosure[1]
@@ -204,6 +162,11 @@ class IncrementCovariance:
     def lambda_range(self):
         """(smallest, largest) eigenvalue: the outer ends of their enclosures."""
         return self._min_enclosure[0], self._max_enclosure[1]
+
+    def two_norm(self) -> float:
+        """||Gamma||_2 = max(|lambda_min|, |lambda_max|), from lambda_range."""
+        lo, hi = self.lambda_range()
+        return max(abs(lo), abs(hi))
 
     def sampling_factor(self) -> np.ndarray:
         """Factor F with F F^T = Gamma, for exact Gaussian sampling."""
@@ -313,10 +276,6 @@ def increment_covariance(iv: IncrementalVariance, grid: UniformGrid) -> Incremen
             f"against max {hi:.3e}"
         )
     return cov
-
-
-def matrix_norms(cov: IncrementCovariance) -> MatrixNorms:
-    return cov.norms
 
 
 # ---------------------------------------------------------------------------
@@ -458,47 +417,3 @@ def symbol_sup(symbol: SpectralSymbol, M: int = 2048) -> SymbolSup:
     hi = lam[min(k + 1, M)]
     fine = np.linspace(lo, hi, M + 1)
     return SymbolSup(value=float(np.max(symbol.evaluate(fine))), infinite=False)
-
-
-# ---------------------------------------------------------------------------
-# envelope estimation from a variance profile
-
-
-@dataclass(frozen=True)
-class ClassEstimate:
-    H_hat: float
-    beta_hat: float
-    c_hat: float
-    C_hat: float
-    slope_global: float
-
-
-def estimate_class_parameters(iv: IncrementalVariance, delta_grid) -> ClassEstimate:
-    """Envelope exponents from log sigma2(0, delta) vs log delta.
-
-    The upper envelope C delta^{2H} must dominate as delta -> 0, so H_hat
-    is half the smallest local slope; the lower envelope gives beta_hat as
-    half the largest.  Envelope constants are then fitted tightly.
-    """
-    delta = np.sort(np.asarray(delta_grid, dtype=float))
-    if delta.size < 4:
-        raise ValueError("need at least 4 grid points")
-    if delta[0] <= 0:
-        raise ValueError("delta grid must be positive")
-    if delta[-1] / delta[0] < 99.99:
-        raise ValueError("delta grid must span at least two decades")
-    var = _eval_pairs(iv.fn, np.zeros_like(delta), delta)
-    if np.any(var <= 0):
-        raise DegenerateProcessError("sigma2 vanished on the estimation grid")
-    x = np.log(delta)
-    y = np.log(var)
-    local = np.diff(y) / np.diff(x)
-    slope_global = float(np.polyfit(x, y, 1)[0])
-    h_hat = float(np.min(local) / 2.0)
-    beta_hat = float(np.max(local) / 2.0)
-    c_hat = float(np.min(var / delta ** (2.0 * beta_hat)))
-    big_c = float(np.max(var / delta ** (2.0 * h_hat)))
-    return ClassEstimate(
-        H_hat=h_hat, beta_hat=beta_hat, c_hat=c_hat, C_hat=big_c,
-        slope_global=slope_global,
-    )

@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import Certificate, Regime
 from .concentration import cp_lower, cp_upper
 from .errors import InvalidComparisonError
-from .paths import UniformGrid, holder_norm_batch
+from .paths import UniformGrid, increment_lp
 from .simulate import (
     ProcessSpec,
     SeedSpec,
@@ -49,7 +49,6 @@ __all__ = [
     "verify_certificates",
     "config_digest",
     "write_text_artifact",
-    "write_json_artifact",
 ]
 
 # fixed streaming block: chosen for memory, never for parallel layout, so
@@ -62,11 +61,10 @@ NormSpec = Regime
 
 
 def _norms_block(values: np.ndarray, delta: float, norm: Regime) -> np.ndarray:
+    """Sup or l1 norm of each row; Holder balls are counted by _holder_counts."""
     if norm.kind == "sup":
         return np.abs(values).max(axis=1)
-    if norm.kind == "l1":
-        return delta * np.abs(values[:, :-1]).sum(axis=1)
-    return holder_norm_batch(values, delta, norm.beta)
+    return delta * np.abs(values[:, :-1]).sum(axis=1)
 
 
 def _holder_counts(values, delta, beta, epsilons):
@@ -173,18 +171,13 @@ class EstimateTable:
             )
         return "\n".join(lines) + "\n"
 
-    def p_hats(self) -> np.ndarray:
-        return np.array([r.p_hat for r in self.rows])
-
-    def epsilons(self) -> np.ndarray:
-        return np.array([r.epsilon for r in self.rows])
-
 
 def _spec_payload(spec: ProcessSpec) -> dict:
     payload = {
         "kind": spec.kind,
         "H": spec.H,
-        "method": spec.method,
+        # circulant embedding is the one sampler; the key keeps every digest
+        "method": "circulant",
         "drift": asdict(spec.drift),
     }
     if spec.sigma2 is not None:
@@ -326,13 +319,7 @@ def partition_norm_samples(
         values = path_values_block(
             bare, grid, seed_spec, np.arange(start, start + size)
         )
-        inc = np.abs(np.diff(values, axis=1))
-        if p == 1:
-            out.append(inc.sum(axis=1))
-        elif p == 2:
-            out.append(np.sqrt(np.sum(inc * inc, axis=1)))
-        else:
-            out.append(np.sum(inc**p, axis=1) ** (1.0 / p))
+        out.append(increment_lp(values, p))
     return np.concatenate(out)
 
 
@@ -566,7 +553,3 @@ def verify_certificates(
 def write_text_artifact(path, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
-
-
-def write_json_artifact(path, payload: dict) -> None:
-    write_text_artifact(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "UniformGrid",
     "SamplePath",
-    "build_grid",
     "sup_norm",
     "holder_norm",
     "l1_norm",
@@ -43,10 +42,6 @@ class UniformGrid:
     def times(self) -> np.ndarray:
         # t_k = k * delta, k = 0..N; endpoint exact by construction
         return np.linspace(0.0, self.T, self.N + 1)
-
-
-def build_grid(T: float, N: int) -> UniformGrid:
-    return UniformGrid(float(T), int(N))
 
 
 @dataclass(frozen=True)
@@ -110,15 +105,16 @@ def l1_norm(path: SamplePath) -> float:
     return float(path.grid.delta * np.sum(np.abs(path.values[:-1])))
 
 
-def increment_lp(path: SamplePath, p: float) -> float:
-    """(sum_k |f(t_k) - f(t_{k-1})|^p)^(1/p) for p >= 1."""
+def increment_lp(values, p: float):
+    """(sum_k |f(t_k) - f(t_{k-1})|^p)^(1/p) for p >= 1, along the last axis
+    of ``values`` (p = inf gives max_k |f(t_k) - f(t_{k-1})|)."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    inc = np.abs(path.increments)
+    inc = np.abs(np.diff(values, axis=-1))
     if p == 1:
-        return float(np.sum(inc))
+        return inc.sum(axis=-1)
     if p == 2:
-        return float(np.sqrt(np.sum(inc * inc)))
+        return np.sqrt(np.sum(inc * inc, axis=-1))
     if np.isinf(p):
-        return float(np.max(inc)) if inc.size else 0.0
-    return float(np.sum(inc**p) ** (1.0 / p))
+        return np.max(inc, axis=-1, initial=0.0)
+    return np.sum(inc**p, axis=-1) ** (1.0 / p)

@@ -1,11 +1,11 @@
 """Exact simulation of the processes the certificates are checked against.
 
-Fractional Gaussian noise is sampled by circulant embedding (O(N log N))
-or by a dense Cholesky factor of the increment covariance; both are exact
-in distribution.  Every path is a deterministic function of
-(seed, purpose, stream), via a counter-based Philox generator keyed by a
-SeedSequence, so Monte Carlo results do not depend on how work is split
-across workers.
+Fractional Gaussian noise is sampled by circulant embedding in
+O(N log N), exact in distribution: the minimal embedding is nonnegative
+definite for every H in (0, 1) (Craigmile, J. Time Ser. Anal. 24, 2003).
+Every path is a deterministic function of (seed, purpose, stream), via a
+counter-based Philox generator keyed by a SeedSequence, so Monte Carlo
+results do not depend on how work is split across workers.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg as _sla
 from scipy import special as _special
 
 from .errors import EmbeddingFailureError
-from .paths import SamplePath, UniformGrid
+from .paths import UniformGrid
 
 __all__ = [
     "SeedSpec",
@@ -27,14 +26,9 @@ __all__ = [
     "DriftSpec",
     "ProcessSpec",
     "fgn_autocovariance",
-    "simulate_fgn",
     "fgn_increments_block",
-    "bm_increments_block",
     "gaussian_increments_block",
     "iid_sums_block",
-    "simulate_iid_partial_sums",
-    "simulate_path",
-    "compose_drift",
 ]
 
 PURPOSE_PROCESS = 0
@@ -104,22 +98,16 @@ def _embedding_eigenvalues(H: float, N: int) -> np.ndarray:
     return lam
 
 
-@lru_cache(maxsize=16)
-def _cholesky_factor(H: float, N: int) -> np.ndarray:
-    """Lower Cholesky factor of the unit-variance fGn Toeplitz matrix."""
-    gamma = _sla.toeplitz(fgn_autocovariance(H, np.arange(N)))
-    factor = _sla.cholesky(gamma, lower=True)
-    factor.setflags(write=False)
-    return factor
+def _normals(seed: SeedSpec, streams, n: int) -> np.ndarray:
+    """Standard normals, (len(streams), n); row b depends only on streams[b]."""
+    z = np.empty((len(streams), n))
+    for b, s in enumerate(streams):
+        z[b] = seed.with_stream(s).generator().standard_normal(n)
+    return z
 
 
 def fgn_increments_block(
-    H: float,
-    N: int,
-    delta: float,
-    seed: SeedSpec,
-    streams,
-    method: str = "circulant",
+    H: float, N: int, delta: float, seed: SeedSpec, streams
 ) -> np.ndarray:
     """Sample len(streams) independent fGn vectors, one per stream id.
 
@@ -132,35 +120,17 @@ def fgn_increments_block(
         raise ValueError("N must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    streams = np.asarray(streams, dtype=np.int64)
     scale = delta**H
     if H == 0.5:
         # embedding eigenvalues are identically 1: increments are iid
-        out = np.empty((streams.size, N))
-        for b, s in enumerate(streams):
-            out[b] = seed.with_stream(s).generator().standard_normal(N)
-        return scale * out
-    if method == "circulant":
-        return scale * _fgn_block_circulant(H, N, seed, streams)
-    if method == "cholesky":
-        factor = _cholesky_factor(H, N)
-        z = np.empty((streams.size, N))
-        for b, s in enumerate(streams):
-            z[b] = seed.with_stream(s).generator().standard_normal(N)
-        return scale * (z @ factor.T)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _fgn_block_circulant(H, N, seed, streams):
+        return scale * _normals(seed, streams, N)
     lam = _embedding_eigenvalues(H, N)
     m = 2 * N
     # fixed draw layout per path: [xi_0, xi_N, xi_1..xi_{N-1}, eta_1..eta_{N-1}]
-    z = np.empty((streams.size, m))
-    for b, s in enumerate(streams):
-        z[b] = seed.with_stream(s).generator().standard_normal(m)
+    z = _normals(seed, streams, m)
     # the hermitian spectral vector has a real FFT; feeding the conjugate
     # half-spectrum to irfft computes it with half the transform work
-    w = np.empty((streams.size, N + 1), dtype=complex)
+    w = np.empty((z.shape[0], N + 1), dtype=complex)
     w[:, 0] = np.sqrt(lam[0] / m) * z[:, 0]
     w[:, N] = np.sqrt(lam[N] / m) * z[:, 1]
     if N > 1:
@@ -168,28 +138,12 @@ def _fgn_block_circulant(H, N, seed, streams):
         head = w[:, 1:N]
         head.real = half * z[:, 2 : N + 1]
         np.multiply(z[:, N + 1 :], -half, out=head.imag)
-    return m * np.fft.irfft(w, n=m, axis=1)[:, :N]
-
-
-def simulate_fgn(
-    H: float, N: int, delta: float, seed: SeedSpec, method: str = "circulant"
-) -> np.ndarray:
-    """One fGn increment vector; see ``fgn_increments_block``."""
-    return fgn_increments_block(H, N, delta, seed, [seed.stream], method)[0]
-
-
-def bm_increments_block(N: int, delta: float, seed: SeedSpec, streams) -> np.ndarray:
-    """Brownian increments: iid N(0, delta), one row per stream."""
-    return fgn_increments_block(0.5, N, delta, seed, streams)
+    return scale * (m * np.fft.irfft(w, n=m, axis=1)[:, :N])
 
 
 def gaussian_increments_block(factor: np.ndarray, seed: SeedSpec, streams) -> np.ndarray:
     """Increments with covariance factor @ factor.T, one row per stream."""
-    n = factor.shape[0]
-    z = np.empty((len(streams), n))
-    for b, s in enumerate(np.asarray(streams, dtype=np.int64)):
-        z[b] = seed.with_stream(s).generator().standard_normal(n)
-    return z @ factor.T
+    return _normals(seed, streams, factor.shape[0]) @ factor.T
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +241,6 @@ def iid_sums_block(dist: DistSpec, n: int, seed: SeedSpec, streams) -> np.ndarra
     return out
 
 
-def simulate_iid_partial_sums(dist: DistSpec, n: int, seed: SeedSpec) -> SamplePath:
-    """Partial sums as a path on the integer grid t_k = k."""
-    values = iid_sums_block(dist, n, seed, [seed.stream])[0]
-    return SamplePath(UniformGrid(float(n), int(n)), values)
-
-
 # ---------------------------------------------------------------------------
 # drift and process composition
 
@@ -346,7 +294,6 @@ class ProcessSpec:
     kind: str
     H: float = 0.5
     drift: DriftSpec = DriftSpec()
-    method: str = "circulant"
     sigma2: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
@@ -367,21 +314,11 @@ class ProcessSpec:
         return base if self.drift.kind == "none" else f"{base}+{self.drift.kind}"
 
 
-def compose_drift(x: SamplePath, a: SamplePath) -> SamplePath:
-    """y(t_k) = x(t_k) + delta * sum_{j<k} a(t_j)  (left Riemann integral)."""
-    if x.grid != a.grid:
-        raise ValueError("x and a must share a grid")
-    integral = np.concatenate([[0.0], np.cumsum(a.values[:-1])]) * x.grid.delta
-    return SamplePath(x.grid, x.values + integral)
-
-
 def _x_increments_block(spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams):
     if spec.kind == "fbm":
-        return fgn_increments_block(
-            spec.H, grid.N, grid.delta, seed, streams, spec.method
-        )
+        return fgn_increments_block(spec.H, grid.N, grid.delta, seed, streams)
     if spec.kind == "bm":
-        return bm_increments_block(grid.N, grid.delta, seed, streams)
+        return fgn_increments_block(0.5, grid.N, grid.delta, seed, streams)
     from .gausscov import increment_covariance, sigma2_profile
 
     cov = increment_covariance(sigma2_profile(spec.sigma2), grid)
@@ -459,9 +396,3 @@ def drift_values_block(
     a_vals = np.zeros((inc.shape[0], grid.N + 1))
     np.cumsum(inc, axis=1, out=a_vals[:, 1:])
     return a_vals
-
-
-def simulate_path(spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec) -> SamplePath:
-    """Simulate one path of y = x + int a on the given grid."""
-    values = path_values_block(spec, grid, seed, [seed.stream])[0]
-    return SamplePath(grid, values)

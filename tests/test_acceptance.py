@@ -37,7 +37,6 @@ from smallball.concentration import cp_upper, drift_bounded_model
 from smallball.gausscov import (
     fgn_symbol,
     increment_covariance,
-    matrix_norms,
     sigma2_fbm,
     symbol_sup,
 )
@@ -358,7 +357,7 @@ def _build_c7(workers):
     H, N = 0.3, 256
     delta = 1.0 / N
     cov = increment_covariance(sigma2_fbm(H), UniformGrid(1.0, N))
-    two = matrix_norms(cov).two
+    two = cov.two_norm()
     center = math.sqrt(N * delta ** (2.0 * H))
     n_draws, batch = 100_000, 10_000
     devs = []

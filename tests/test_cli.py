@@ -433,6 +433,8 @@ class TestProducerErrors:
          "H and beta must lie in (0, 1)"),
         ("estimate", {"process": {"kind": "bm"}, "N": 0, "epsilons": [0.5],
                       "n_paths": 1000}, "/", "N must be an integer >= 1, got 0"),
+        ("verify", {"process": {"kind": "bm"}, "N": 0, "n_paths": 1000}, "/",
+         "N must be an integer >= 1, got 0"),
         ("simulate", {"process": {"kind": "bm"}, "N": 0}, "/",
          "N must be an integer >= 1, got 0"),
         ("simulate", {"dist": {"kind": "rademacher"}, "n": 0}, "/",
@@ -440,12 +442,18 @@ class TestProducerErrors:
         ("simulate", {"process": {"kind": "bm"}, "N": 8, "T": -1}, "/",
          "T must be positive, got -1.0"),
         ("simulate", {"dist": 1, "n": 4}, "/dist", "expected dict"),
+        ("rate", {"epsilons": [0.1, 0.2, 0.3], "values": [0.01, 0.1, {}]},
+         "/values", "expected a list of numbers"),
+        ("rate", {"epsilons": [0.1, 0.2, 0.3], "values": [0.01, 0.1, 0.3],
+                  "value_window": [{}, 1]}, "/value_window",
+         "expected a list of numbers"),
         ("toeplitz", {"H": 0.3, "N": 0}, "/N",
          "expected an integer >= 2 or a list of them"),
         ("bound", {"kind": "gaussian_class", "H": 0.3, "epsilons": [0.1],
                    "delta_mesh": 0}, "/", "delta_mesh must be positive"),
-    ], ids=["feasibility-beta", "estimate-N", "simulate-N", "simulate-n",
-            "simulate-T", "simulate-dist", "toeplitz-N", "bound-mesh"])
+    ], ids=["feasibility-beta", "estimate-N", "verify-N", "simulate-N",
+            "simulate-n", "simulate-T", "simulate-dist", "rate-values",
+            "rate-window", "toeplitz-N", "bound-mesh"])
     def test_config_error(self, command, config, pointer, message, tmp_path,
                           capsys):
         code, _, err = run_cli(tmp_path, capsys, command, config,
@@ -454,15 +462,30 @@ class TestProducerErrors:
         assert parse_error(err) == {"type": "config", "pointer": pointer,
                                     "message": message}
 
+    @pytest.mark.parametrize("text,message", [
+        ("a,b\n1,2\n", "missing column 'epsilon'"),
+        ("epsilon,p_hat\n0.1,x\n", "could not convert string to float: 'x'"),
+    ], ids=["rate-header", "rate-cell"])
+    def test_unreadable_estimates_csv(self, text, message, tmp_path, capsys):
+        table = tmp_path / "estimates.csv"
+        table.write_text(text)
+        code, _, err = run_cli(tmp_path, capsys, "rate",
+                               {"estimates_csv": str(table)})
+        assert code == 2
+        assert parse_error(err) == {"type": "config",
+                                    "pointer": "/estimates_csv",
+                                    "message": f"{table}: {message}"}
+
 
 # Fuzzed configs start from a valid config of each shape and replace or
 # delete one or two keys (nested keys included) with a value from a small
 # pool of valid and invalid values.  Bases and pool keep every run cheap:
-# grids of at most 64 steps, at most 4 paths, and radii and exponents for
-# which the certificate witness grids stay small.
+# grids of at most 64 steps, at most 4 paths (1000 for `verify`, the fewest
+# an estimate accepts), and radii and exponents for which the certificate
+# witness grids stay small.
 _FUZZ_BASES = [
     ("feasibility", {"H": 0.75, "beta": 0.6, "theta": 0.2}),
-    ("simulate", {"process": {"kind": "fbm", "H": 0.3, "method": "circulant",
+    ("simulate", {"process": {"kind": "fbm", "H": 0.3,
                               "drift": {"kind": "fbm", "H2": 0.75}},
                   "T": 1.0, "N": 64, "n_paths": 2, "seed": 1}),
     ("simulate", {"dist": {"kind": "scaled_beta", "a": 2.0, "b": 2.0,
@@ -488,6 +511,10 @@ _FUZZ_BASES = [
                "beta": 0.5, "T": 1.0, "delta_mesh": 0.015625,
                "epsilons": [0.1, 0.3]}),
     ("toeplitz", {"H": 0.3, "N": [16, 64]}),
+    ("rate", {"epsilons": [0.1, 0.2, 0.3, 0.4],
+              "values": [0.001, 0.02, 0.1, 0.25], "mode": "RAW", "c1": 2.0}),
+    ("verify", {"process": {"kind": "fbm", "H": 0.3}, "N": 64,
+                "n_paths": 1000, "epsilons": [0.3, 0.6], "seed": 1}),
 ]
 _FUZZ_VALUES = st.sampled_from([
     -1, 0, 1, 2, 4, -1.0, 0.0, 0.3, 0.75, 1.5, 64.0,
@@ -533,7 +560,8 @@ class TestFuzzedConfigs:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, "--config", str(cfg_path),
                              "--out", str(Path(tmp) / "out.csv")])
-        assert code in (0, 2)
+        # verify exits 1 when a certificate is contradicted
+        assert code in ((0, 1, 2) if command == "verify" else (0, 2))
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1

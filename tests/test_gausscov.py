@@ -12,15 +12,12 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.special import zeta
 
-from smallball.errors import DegenerateProcessError
 from smallball.gausscov import (
     _count_below,
-    estimate_class_parameters,
     fbm_cover_constant,
     fgn_symbol,
     gamma_two_norm_bound,
     increment_covariance,
-    matrix_norms,
     s_weight,
     s_weight_envelope,
     sigma2_fbm,
@@ -67,12 +64,9 @@ class TestIncrementCovariance:
         grid = UniformGrid(1.0, 40)
         cov = increment_covariance(sigma2_fbm(0.45), grid)
         dense = _dense_gamma(0.45, grid)
-        norms = matrix_norms(cov)
-        assert norms.one == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-12)
-        assert norms.two == pytest.approx(np.linalg.norm(dense, 2), rel=1e-8)
-        assert norms.frobenius == pytest.approx(np.linalg.norm(dense), rel=1e-12)
-        # symmetric matrix: two-norm sandwiched by the others
-        assert norms.two <= norms.one + 1e-12
+        assert cov.two_norm() == pytest.approx(np.linalg.norm(dense, 2), rel=1e-8)
+        # symmetric matrix: the two-norm is at most the one-norm
+        assert cov.two_norm() <= np.abs(dense).sum(axis=0).max() + 1e-12
 
     def test_degenerate_profile_collapses_spectrum(self):
         grid = UniformGrid(1.0, 8)
@@ -152,7 +146,7 @@ class TestRowWeights:
                 grid = UniformGrid(N * 0.01, N)
                 cov = increment_covariance(sigma2_fbm(H), grid)
                 bound = gamma_two_norm_bound(H, N, grid.delta, fbm_cover_constant(H))
-                assert bound >= matrix_norms(cov).two * (1 - 1e-10)
+                assert bound >= cov.two_norm() * (1 - 1e-10)
 
     def test_fbm_cover_constant_is_lag_zero(self):
         # |rho_H(k)| <= (1+k)^{2H-2} holds with constant 1 for fBm
@@ -216,36 +210,3 @@ class TestSpectralSymbol:
             fgn_symbol(0.3, J=5)
         with pytest.raises(ValueError):
             fgn_symbol(0.3).evaluate(4.0)
-
-
-class TestClassEstimate:
-    def test_recovers_fbm_exponents(self):
-        grid = np.geomspace(1e-4, 1e-1, 40)
-        est = estimate_class_parameters(sigma2_fbm(0.3), grid)
-        assert est.H_hat == pytest.approx(0.3, abs=1e-10)
-        assert est.beta_hat == pytest.approx(0.3, abs=1e-10)
-        assert est.c_hat == pytest.approx(1.0, rel=1e-9)
-        assert est.C_hat == pytest.approx(1.0, rel=1e-9)
-        assert est.slope_global == pytest.approx(0.6, abs=1e-10)
-
-    def test_envelopes_bracket_mixed_profile(self):
-        # sigma2 = d^0.6 + d^0.9 has local slopes between 0.6 and 0.9
-        iv = sigma2_profile(lambda s, t: abs(t - s) ** 0.6 + abs(t - s) ** 0.9)
-        d = np.geomspace(1e-4, 1e-1, 40)
-        est = estimate_class_parameters(iv, d)
-        assert 0.29 < est.H_hat < 0.46
-        assert est.beta_hat >= est.H_hat
-        # fitted constants must make the envelopes valid on the fit grid
-        var = d**0.6 + d**0.9
-        assert np.all(var <= est.C_hat * d ** (2 * est.H_hat) + 1e-12)
-        assert np.all(var >= est.c_hat * d ** (2 * est.beta_hat) - 1e-12)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            estimate_class_parameters(sigma2_fbm(0.3), [0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
-            estimate_class_parameters(sigma2_fbm(0.3), np.geomspace(0.01, 0.1, 10))
-        with pytest.raises(DegenerateProcessError):
-            estimate_class_parameters(
-                sigma2_profile(lambda s, t: 0.0), np.geomspace(1e-4, 0.1, 10)
-            )

@@ -185,6 +185,17 @@ class TestNormSamples:
         inc = np.diff(vals, axis=1)
         np.testing.assert_allclose(samples, np.sqrt((inc**2).sum(axis=1)), atol=1e-12)
 
+    def test_partition_norms_for_other_p(self):
+        # p = inf is the largest increment, not a constant
+        spec = ProcessSpec(kind="fbm", H=0.3)
+        grid = UniformGrid(1.0, 16)
+        vals = path_values_block(spec, grid, SeedSpec(5), np.arange(300))
+        inc = np.abs(np.diff(vals, axis=1))
+        for p, expected in ((np.inf, inc.max(axis=1)), (1.0, inc.sum(axis=1)),
+                            (3.0, (inc**3).sum(axis=1) ** (1.0 / 3.0))):
+            samples = partition_norm_samples(spec, grid, p, 300, seed=5)
+            np.testing.assert_allclose(samples, expected, rtol=1e-14)
+
     def test_second_moment_scale(self):
         # E |X|_2^2 = N delta^{2H}
         grid = UniformGrid(1.0, 64)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from smallball.paths import (
     SamplePath,
     UniformGrid,
-    build_grid,
     holder_norm,
     holder_norm_batch,
     increment_lp,
@@ -37,9 +36,6 @@ class TestUniformGrid:
             UniformGrid(1.0, 0)
         with pytest.raises(ValueError):
             UniformGrid(-1.0, 8)
-
-    def test_build_grid_matches_constructor(self):
-        assert build_grid(3.0, 6) == UniformGrid(3.0, 6)
 
 
 class TestSamplePath:
@@ -98,17 +94,23 @@ class TestNorms:
                 holder_norm(p, beta)
 
     def test_increment_lp_hand_cases(self):
-        p = _path([0.0, 3.0, -1.0])
-        assert increment_lp(p, 1.0) == 7.0
-        assert increment_lp(p, 2.0) == pytest.approx(5.0)
-        assert increment_lp(p, np.inf) == 4.0
+        # one path per row; the last path does not move
+        block = np.array([[0.0, 3.0, -1.0], [0.0, 1.0, 3.0], [1.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(increment_lp(block, 1.0), [7.0, 3.0, 0.0])
+        np.testing.assert_allclose(
+            increment_lp(block, 2.0), [5.0, np.sqrt(5.0), 0.0], rtol=1e-15
+        )
+        np.testing.assert_array_equal(increment_lp(block, np.inf), [4.0, 2.0, 0.0])
+        assert increment_lp(block[0], 1.0) == 7.0
+        assert increment_lp([2.0], np.inf) == 0.0  # no increments
         with pytest.raises(ValueError):
-            increment_lp(p, 0.5)
+            increment_lp(block, 0.5)
 
     def test_increment_lp_general_p(self):
-        p = _path([0.0, 1.0, 3.0])
-        assert increment_lp(p, 3.0) == pytest.approx((1.0 + 8.0) ** (1.0 / 3.0))
-
+        block = np.array([[0.0, 3.0, -1.0], [0.0, 1.0, 3.0]])
+        np.testing.assert_allclose(
+            increment_lp(block, 3.0), [91.0 ** (1 / 3), 9.0 ** (1 / 3)], rtol=1e-15
+        )
 
 @settings(max_examples=25, deadline=None)
 @given(

@@ -2,29 +2,24 @@
 
 Distributional checks compare empirical moments against the closed-form
 fGn autocovariance at loose statistical tolerances; everything structural
-(seeding, composition, method agreement) is checked exactly.
+(seeding, composition) is checked exactly.
 """
 
 import numpy as np
 import pytest
 
-from smallball.paths import UniformGrid, SamplePath, sup_norm
+from smallball.paths import UniformGrid
 from smallball.simulate import (
     DistSpec,
     DriftSpec,
     ProcessSpec,
     SeedSpec,
-    bm_increments_block,
-    compose_drift,
     compose_values_block,
     drift_values_block,
     fgn_autocovariance,
     fgn_increments_block,
     iid_sums_block,
     path_values_block,
-    simulate_fgn,
-    simulate_iid_partial_sums,
-    simulate_path,
     x_values_block,
 )
 
@@ -92,25 +87,6 @@ class TestFgnDistribution:
         scale = delta ** (2 * H)
         assert np.max(np.abs(emp - target)) < 0.06 * scale
 
-    def test_circulant_and_cholesky_share_moments(self):
-        # same covariance target; empirical second moments must agree
-        N, n_paths = 6, 6000
-        a = fgn_increments_block(0.3, N, 1.0, SeedSpec(9), np.arange(n_paths))
-        b = fgn_increments_block(
-            0.3, N, 1.0, SeedSpec(10), np.arange(n_paths), method="cholesky"
-        )
-        assert np.max(np.abs(a.T @ a / n_paths - b.T @ b / n_paths)) < 0.08
-
-    def test_cholesky_factor_reproduces_covariance(self):
-        # L L^T must equal the Toeplitz autocovariance matrix exactly
-        from smallball.simulate import _cholesky_factor
-
-        N = 12
-        L = _cholesky_factor(0.35, N)
-        lags = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
-        target = fgn_autocovariance(0.35, lags)
-        np.testing.assert_allclose(L @ L.T, target, atol=1e-12)
-
     def test_h_half_is_iid_gaussian(self):
         inc = fgn_increments_block(0.5, 4096, 0.25, SeedSpec(3), [0])[0]
         assert abs(inc.std() - 0.5) < 0.02  # delta^H = 0.5
@@ -122,13 +98,6 @@ class TestFgnDistribution:
             fgn_increments_block(0.3, 0, 1.0, SeedSpec(0), [0])
         with pytest.raises(ValueError):
             fgn_increments_block(0.3, 8, -1.0, SeedSpec(0), [0])
-        with pytest.raises(ValueError):
-            fgn_increments_block(0.3, 8, 1.0, SeedSpec(0), [0], method="spectral")
-
-    def test_simulate_fgn_matches_block_row(self):
-        one = simulate_fgn(0.3, 16, 0.5, SeedSpec(7))
-        block = fgn_increments_block(0.3, 16, 0.5, SeedSpec(7), [0])[0]
-        np.testing.assert_array_equal(one, block)
 
 
 class TestIidSums:
@@ -156,11 +125,6 @@ class TestIidSums:
         )
         assert d.mean == pytest.approx(0.2, rel=1e-12)
         assert d.mean_abs == pytest.approx(num, rel=1e-9)
-
-    def test_single_path_helper(self):
-        p = simulate_iid_partial_sums(DistSpec.uniform(-1, 1), 20, SeedSpec(4))
-        assert isinstance(p, SamplePath)
-        assert p.grid.N == 20 and p.grid.delta == 1.0
 
 
 class TestDrift:
@@ -222,13 +186,18 @@ class TestDrift:
         )
 
     def test_compose_drift_single_path(self):
+        # a(t) = sin(pi t / 2) on t = 0, 0.5, .., 2: the left Riemann sums
+        # of delta * a are 0, 0, r/2, (r+1)/2, (2r+1)/2 with r = sqrt(1/2)
         grid = UniformGrid(2.0, 4)
-        x = SamplePath(grid, np.array([0.0, 1.0, 0.0, -1.0, 0.0]))
-        a = SamplePath(grid, np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
-        y = compose_drift(x, a)
-        np.testing.assert_allclose(y.values, x.values + [0.0, 0.5, 1.0, 1.5, 2.0])
-        with pytest.raises(ValueError):
-            compose_drift(x, SamplePath(UniformGrid(2.0, 2), np.zeros(3)))
+        wave = DriftSpec(kind="bounded_wave", amplitude=1.0, frequency=0.25)
+        x = np.array([[0.0, 1.0, 0.0, -1.0, 0.0]])
+        y = compose_values_block(
+            x, ProcessSpec(kind="bm", drift=wave), grid, SeedSpec(0), [0]
+        )
+        r = np.sqrt(0.5)
+        np.testing.assert_allclose(
+            y, x + 0.5 * np.array([0.0, 0.0, r, r + 1.0, 2.0 * r + 1.0]), atol=1e-15
+        )
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):
@@ -253,9 +222,9 @@ class TestGaussianKind:
         assert abs(end_var - 1.0) < 0.07
 
     def test_simulate_path_roundtrip(self):
+        # a path starts at zero and its increments are the process draws
         grid = UniformGrid(1.0, 32)
-        p = simulate_path(ProcessSpec(kind="bm"), grid, SeedSpec(6))
-        assert p.values[0] == 0.0
-        assert p.grid == grid
-        block = bm_increments_block(32, grid.delta, SeedSpec(6).with_purpose(0), [0])
-        np.testing.assert_allclose(np.diff(p.values), block[0], atol=1e-14)
+        p = path_values_block(ProcessSpec(kind="bm"), grid, SeedSpec(6), [0])[0]
+        assert p[0] == 0.0
+        block = fgn_increments_block(0.5, 32, grid.delta, SeedSpec(6).with_purpose(0), [0])
+        np.testing.assert_allclose(np.diff(p), block[0], atol=1e-14)
