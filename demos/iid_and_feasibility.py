@@ -10,20 +10,17 @@ a drifted process exists.
 
 import numpy as np
 
-from smallball.bounds import (
-    bound_iid_sum,
-    iid_sum_certificate,
-    representation_feasibility,
-)
+from smallball.bounds import iid_sum_certificate, representation_feasibility
 from smallball.simulate import DistSpec
 
 # centered uniform steps on [-1, 1]: mean |Z| = 1/2, range bound 1.
 # epsilon is on the sqrt(n) scale, so the event is max_k |S_k| <= sqrt(n) eps
 n, eps = 16, 0.125
-paper = bound_iid_sum(n, 0.5, 1.0, eps)
-sharp = bound_iid_sum(n, 0.5, 1.0, eps, mode="SHARP")
-print(f"n={n}, eps={eps}: paper-constant bound = {paper:.6f}, "
-      f"sharp Hoeffding = {sharp:.6f}")
+dist = DistSpec.uniform(-1.0, 1.0)
+cert = iid_sum_certificate(dist, n, eps)
+sharp = iid_sum_certificate(dist, n, eps, mode="SHARP")
+print(f"n={n}, eps={eps}: paper-constant bound = {cert.total:.6f}, "
+      f"sharp Hoeffding = {sharp.total:.6f}")
 
 # quick brute force against both
 rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
@@ -31,9 +28,7 @@ walks = np.cumsum(rng.uniform(-1.0, 1.0, size=(100_000, n)), axis=1)
 freq = float((np.max(np.abs(walks), axis=1) <= np.sqrt(n) * eps).mean())
 print(f"empirical frequency of the event: {freq:.6f}")
 
-# the certificate wrapper gives the same total in the shared shape
-dist = DistSpec.uniform(-1.0, 1.0)
-cert = iid_sum_certificate(dist, n, eps)
+# the certificate records its witness: the unit partition of the n steps
 print(f"certificate total = {cert.total:.6f}, witness N = {cert.N}\n")
 
 # representation feasibility: given the roughness H of the target, the

@@ -11,7 +11,7 @@ with probabilities near one.
 
 import numpy as np
 
-from smallball.bounds import bound_gaussian_class, bound_fbm_holder_norm
+from smallball.bounds import bound_gaussian_class, fbm_holder_certificate
 from smallball.mcverify import fit_rate, estimate_small_ball, NormSpec
 from smallball.paths import UniformGrid
 from smallball.simulate import ProcessSpec
@@ -27,7 +27,7 @@ print(f"class totals:  gamma_hat = {fit.gamma_hat:.10f} (1/H = {1/0.3:.10f})")
 
 # the Holder-norm event has its own rate 1/(H - beta)
 eps_h = np.geomspace(0.06, 0.18, 10)
-values = [bound_fbm_holder_norm(0.4, 0.2, e).value for e in eps_h]
+values = [fbm_holder_certificate(0.4, 0.2, e).total for e in eps_h]
 fit_h = fit_rate(list(eps_h), values, mode="PREFACTOR_AWARE", c1=2.0)
 print(f"holder bounds: gamma_hat = {fit_h.gamma_hat:.10f} (1/(H-beta) = 5)")
 

@@ -39,7 +39,6 @@ from .gausscov import (
     IncrementalVariance,
     IncrementCovariance,
     sigma2_fbm,
-    sigma2_profile,
     fbm_cover_constant,
     increment_covariance,
     toeplitz_eig_enclosure,
@@ -64,14 +63,10 @@ from .bounds import (
     Certificate,
     feasible,
     drift_threshold,
-    bound_iid_sum,
     iid_sum_certificate,
-    bound_holder_indep,
     holder_indep_certificate,
     bound_gaussian_class,
-    bound_fbm_holder_norm,
     fbm_holder_certificate,
-    bound_stationary,
     stationary_certificate,
     representation_feasibility,
     witness_margins,

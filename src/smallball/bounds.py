@@ -19,11 +19,11 @@ Modes: EXPLICIT totals come from closed-form tail inequalities, PAPER from
 pinned literature constants, STATISTICAL from exact binomial upper limits
 on sampled tails.
 
-This is the one module that assembles Certificates.  Each closed-form
-family has a bound_* function for its value and constants and a
-*_certificate builder that places that value on its witness;
-bound_gaussian_class and empirical_certificate return Certificates
-directly.
+This is the one module that assembles Certificates, and each family is
+one function that validates its inputs, computes its witness and returns
+a Certificate: iid_sum_certificate, holder_indep_certificate,
+bound_gaussian_class, fbm_holder_certificate, stationary_certificate and
+empirical_certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,17 +45,10 @@ __all__ = [
     "Certificate",
     "feasible",
     "drift_threshold",
-    "bound_iid_sum",
     "iid_sum_certificate",
-    "HolderIndepBound",
-    "bound_holder_indep",
     "holder_indep_certificate",
     "bound_gaussian_class",
-    "HolderNormBound",
-    "bound_fbm_holder_norm",
     "fbm_holder_certificate",
-    "StationaryBound",
-    "bound_stationary",
     "stationary_certificate",
     "FeasibilityWitness",
     "representation_feasibility",
@@ -219,8 +212,8 @@ class Certificate:
             "provenance": _jsonable(self.provenance),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _jsonable(obj):
@@ -241,59 +234,36 @@ def _jsonable(obj):
 # iid partial sums
 
 
-def _iid_mode(mode: str) -> str:
-    if mode in ("PAPER", "PAPER_CONSTANTS"):
-        return "PAPER"
-    if mode == "SHARP":
-        return "SHARP"
-    raise ValueError("mode must be 'PAPER_CONSTANTS' (alias 'PAPER') or 'SHARP'")
-
-
-def bound_iid_sum(
-    n: int,
-    mean_abs: float,
-    range_bound: float,
-    epsilon: float,
-    mode: str = "PAPER_CONSTANTS",
-) -> float:
-    """Small-deviation bound for partial sums of centered iid bounded steps.
-
-    Valid for epsilon <= mean_abs / 4 with mean_abs = E|Z_1| and
-    range_bound = |low| v |high|.  The witness is the unit partition (p=1,
-    N=n, delta=1, I = n E|Z_1|), so |X|_1 = sum |Z_k| and Hoeffding
-    applies.  PAPER_CONSTANTS reproduces the pinned literature constant
-    2 exp(-n mean_abs^2 / (4 range_bound^2)); SHARP evaluates the
-    Hoeffding tail at I/2 directly, which is tighter:
-    2 exp(-n mean_abs^2 / (2 range_bound^2)).
-    """
-    variant = _iid_mode(mode)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if mean_abs <= 0 or range_bound <= 0:
-        raise ValueError("mean_abs and range_bound must be positive")
-    if epsilon > mean_abs / 4.0 + 1e-15:
-        raise EpsilonTooLargeError(
-            f"epsilon={epsilon:g} exceeds E|Z_1|/4 = {mean_abs / 4.0:g}; "
-            "the iid bound does not apply"
-        )
-    if variant == "PAPER":
-        return min(
-            1.0,
-            2.0 * math.exp(-n * mean_abs**2 / (4.0 * range_bound**2)),
-        )
-    return hoeffding_tail(n * mean_abs / 2.0, [range_bound] * n)
-
-
 def iid_sum_certificate(
     dist: DistSpec, n: int, epsilon: float, mode: str = "PAPER_CONSTANTS"
 ) -> Certificate:
-    """bound_iid_sum packaged as a certificate, constants from the DistSpec."""
+    """Small-deviation certificate for partial sums of centered iid bounded steps.
+
+    Valid for epsilon <= m / 4 with m = E|Z_1| and R = sup |Z_1| =
+    |low| v |high|, both from the DistSpec.  The witness is the unit
+    partition (p=1, N=n, delta=1, I = n m), so |X|_1 = sum |Z_k| and
+    Hoeffding applies.  PAPER_CONSTANTS (alias PAPER) reproduces the pinned
+    literature constant 2 exp(-n m^2 / (4 R^2)); SHARP evaluates the
+    Hoeffding tail at I/2 directly, which is tighter: 2 exp(-n m^2 / (2 R^2)).
+    """
     if abs(dist.mean) > 1e-12:
         raise ValueError("distribution must be centered")
+    if mode not in ("PAPER", "PAPER_CONSTANTS", "SHARP"):
+        raise ValueError("mode must be 'PAPER_CONSTANTS' (alias 'PAPER') or 'SHARP'")
+    variant = "SHARP" if mode == "SHARP" else "PAPER"
+    if n < 1:
+        raise ValueError("n must be at least 1")
     m = dist.mean_abs
     R = dist.abs_bound
-    variant = _iid_mode(mode)
-    term = bound_iid_sum(n, m, R, epsilon, mode)
+    if epsilon > m / 4.0 + 1e-15:
+        raise EpsilonTooLargeError(
+            f"epsilon={epsilon:g} exceeds E|Z_1|/4 = {m / 4.0:g}; "
+            "the iid bound does not apply"
+        )
+    if variant == "PAPER":
+        term = min(1.0, 2.0 * math.exp(-n * m**2 / (4.0 * R**2)))
+    else:
+        term = hoeffding_tail(n * m / 2.0, [R] * n)
     return Certificate.build(
         epsilon=epsilon, T=float(n), regime=Regime.sup(), p=1.0, N=n,
         delta=1.0, I=n * m, term_concentration=term, term_drift=0.0,
@@ -312,23 +282,15 @@ def iid_sum_certificate(
 # independent-increment Holder paths, sup-norm event
 
 
-class HolderIndepBound(NamedTuple):
-    value: float
-    gamma: float
-    c_explicit: float
-    useless: bool
-    delta: float
-
-
-def bound_holder_indep(
+def holder_indep_certificate(
     H: float,
     beta: float,
     T: float,
     epsilon: float,
     holder_bound: float,
     c_inc: float,
-) -> HolderIndepBound:
-    """Sup-norm small-deviation bound for independent-increment paths.
+) -> Certificate:
+    """Sup-norm small-deviation certificate for independent-increment paths.
 
     Assumes |X_t - X_s| <= holder_bound |t-s|^H almost surely and
     E|X_t - X_s| >= c_inc |t-s|^beta, 0 < H <= beta < 1.  With the witness
@@ -339,8 +301,8 @@ def bound_holder_indep(
         gamma = (1 + 2H - 2 beta) / beta,
         c_explicit = c_inc^2/(8 holder_bound^2) (4/c_inc)^((2 beta-2H-1)/beta).
 
-    gamma <= 0 (beta >= H + 1/2) makes the rate useless: the bound no
-    longer improves as epsilon shrinks.
+    Flagged USELESS when gamma <= 0 (beta >= H + 1/2): the bound no longer
+    improves as epsilon shrinks.  Vacuous when delta exceeds the horizon.
     """
     if not (0.0 < H <= beta < 1.0):
         raise ValueError("requires 0 < H <= beta < 1")
@@ -353,39 +315,18 @@ def bound_holder_indep(
         c_inc * c_inc / (8.0 * holder_bound * holder_bound)
         * (4.0 / c_inc) ** ((2.0 * beta - 2.0 * H - 1.0) / beta)
     )
-    useless = gamma <= 0.0
-    delta_star = (4.0 * epsilon / c_inc) ** (1.0 / beta)
-    if delta_star > T:
-        # no admissible partition at this radius; only the trivial bound holds
-        return HolderIndepBound(1.0, gamma, c_explicit, useless, delta_star)
-    value = min(1.0, 2.0 * math.exp(-c_explicit * T * epsilon ** (-gamma)))
-    return HolderIndepBound(value, gamma, c_explicit, useless, delta_star)
-
-
-def holder_indep_certificate(
-    H: float,
-    beta: float,
-    T: float,
-    epsilon: float,
-    holder_bound: float,
-    c_inc: float,
-) -> Certificate:
-    """bound_holder_indep packaged as a certificate on its witness.
-
-    Flagged USELESS when the rate does not improve as epsilon shrinks;
-    vacuous when the witness scale delta exceeds the horizon.
-    """
-    res = bound_holder_indep(H, beta, T, epsilon, holder_bound, c_inc)
-    if res.delta > T:
+    delta = (4.0 * epsilon / c_inc) ** (1.0 / beta)
+    if delta > T:
         return Certificate.vacuous_certificate(
             epsilon, T, Regime.sup(), "no partition fits the horizon")
-    N = int(math.floor(T / res.delta + 1e-12))
+    N = int(math.floor(T / delta + 1e-12))
+    term = min(1.0, 2.0 * math.exp(-c_explicit * T * epsilon ** (-gamma)))
     return Certificate.build(
-        epsilon=epsilon, T=T, regime=Regime.sup(), p=1.0, N=N, delta=res.delta,
-        I=N * c_inc * res.delta**beta, term_concentration=res.value,
+        epsilon=epsilon, T=T, regime=Regime.sup(), p=1.0, N=N, delta=delta,
+        I=N * c_inc * delta**beta, term_concentration=term,
         term_drift=0.0, mode="EXPLICIT",
-        flags=["USELESS"] if res.useless else [],
-        provenance={"gamma": res.gamma, "c_explicit": res.c_explicit},
+        flags=["USELESS"] if gamma <= 0.0 else [],
+        provenance={"gamma": gamma, "c_explicit": c_explicit},
     )
 
 
@@ -559,50 +500,6 @@ def bound_gaussian_class(
 # fractional-increment Holder-norm event
 
 
-class HolderNormBound(NamedTuple):
-    value: float
-    c1: float
-    c2: float
-    gamma: float
-    delta: float
-    n_real: float
-
-
-def bound_fbm_holder_norm(
-    H: float,
-    beta: float,
-    epsilon: float,
-    c_deriv: float = 1.0,
-    T: float = 1.0,
-) -> HolderNormBound:
-    """Holder-norm small-deviation bound for fractional Gaussian paths.
-
-    For E(X_{t+d}-X_t)^2 = d^(2H) with entrywise cover constant c_deriv,
-    0 < beta < H < 1/2, the witness p=2, delta = (2 epsilon)^(1/(H-beta)),
-    I = sqrt(N) delta^H is feasible for the beta-Holder ball of radius
-    epsilon, giving
-
-        P(holder_norm(X) <= epsilon) <= 2 exp(-c2 epsilon^(-gamma)),
-        gamma = 1 / (H - beta),
-        c2 = T 2^(-gamma) / (16 c_deriv S(H)),
-
-    with S(H) = 2 zeta(2-2H) - 1 the summable covariance weight.
-    """
-    if not (0.0 < beta < H < 0.5):
-        raise ValueError("requires 0 < beta < H < 1/2")
-    if epsilon <= 0 or T <= 0 or c_deriv <= 0:
-        raise ValueError("epsilon, T, c_deriv must be positive")
-    gamma = 1.0 / (H - beta)
-    s_inf = s_weight_envelope(H, math.inf)
-    c2 = T * 2.0 ** (-gamma) / (16.0 * c_deriv * s_inf)
-    delta_star = (2.0 * epsilon) ** gamma
-    n_real = T / delta_star
-    if delta_star > T:
-        return HolderNormBound(1.0, 2.0, c2, gamma, delta_star, n_real)
-    value = min(1.0, 2.0 * math.exp(-c2 * epsilon ** (-gamma)))
-    return HolderNormBound(value, 2.0, c2, gamma, delta_star, n_real)
-
-
 def fbm_holder_certificate(
     H: float,
     beta: float,
@@ -610,21 +507,37 @@ def fbm_holder_certificate(
     c_deriv: float = 1.0,
     T: float = 1.0,
 ) -> Certificate:
-    """bound_fbm_holder_norm packaged as a certificate on its witness.
+    """Holder-norm small-deviation certificate for fractional Gaussian paths.
 
-    Vacuous when the witness scale delta exceeds the horizon.
+    For E(X_{t+d}-X_t)^2 = d^(2H) with entrywise cover constant c_deriv,
+    0 < beta < H < 1/2, the witness p=2, delta = (2 epsilon)^(1/(H-beta)),
+    I = sqrt(N) delta^H is feasible for the beta-Holder ball of radius
+    epsilon, giving
+
+        P(holder_norm(X) <= epsilon) <= c1 exp(-c2 epsilon^(-gamma)),
+        c1 = 2, gamma = 1 / (H - beta),
+        c2 = T 2^(-gamma) / (16 c_deriv S(H)),
+
+    with S(H) = 2 zeta(2-2H) - 1 the summable covariance weight.  Vacuous
+    when delta exceeds the horizon.
     """
-    res = bound_fbm_holder_norm(H, beta, epsilon, c_deriv=c_deriv, T=T)
-    if res.delta > T:
+    if not (0.0 < beta < H < 0.5):
+        raise ValueError("requires 0 < beta < H < 1/2")
+    if epsilon <= 0 or T <= 0 or c_deriv <= 0:
+        raise ValueError("epsilon, T, c_deriv must be positive")
+    gamma = 1.0 / (H - beta)
+    c2 = T * 2.0 ** (-gamma) / (16.0 * c_deriv * s_weight_envelope(H, math.inf))
+    delta = (2.0 * epsilon) ** gamma
+    if delta > T:
         return Certificate.vacuous_certificate(
             epsilon, T, Regime.holder(beta), "no partition fits the horizon")
-    N = int(math.floor(T / res.delta + 1e-12))
+    N = int(math.floor(T / delta + 1e-12))
     return Certificate.build(
         epsilon=epsilon, T=T, regime=Regime.holder(beta), p=2.0, N=N,
-        delta=res.delta, I=math.sqrt(N) * res.delta**H,
-        term_concentration=res.value, term_drift=0.0, mode="EXPLICIT",
-        provenance={"c1": res.c1, "c2": res.c2, "gamma": res.gamma,
-                    "n_real": res.n_real},
+        delta=delta, I=math.sqrt(N) * delta**H,
+        term_concentration=min(1.0, 2.0 * math.exp(-c2 * epsilon ** (-gamma))),
+        term_drift=0.0, mode="EXPLICIT",
+        provenance={"c1": 2.0, "c2": c2, "gamma": gamma, "n_real": T / delta},
     )
 
 
@@ -632,35 +545,30 @@ def fbm_holder_certificate(
 # stationary processes via the spectral symbol
 
 
-@dataclass(frozen=True)
-class StationaryBound:
-    value: float
-    delta_star: float
-    c2: float
-    epsilon: float
-    T: float
-
-
-def bound_stationary(
+def stationary_certificate(
     sigma: Callable[[float], float],
     Delta: float,
     ratio_bound: float,
     symbol_sup_value: float,
     T: float,
     epsilon: float,
-) -> StationaryBound:
-    """Sup-norm bound for stationary-increment Gaussians via the spectrum.
+) -> Certificate:
+    """Sup-norm certificate for stationary-increment Gaussians via the spectrum.
 
     sigma is the increment standard deviation profile on (0, Delta],
     assumed nondecreasing; ratio_bound dominates sigma(u)/sigma(v) over
     u <= v <= Delta pairs with u >= v/2; symbol_sup_value dominates the
     spectral density of the normalised increment sequence.  The witness
     scale solves sigma(delta*) = 4 epsilon and the certified value is
-    min(1, 2 exp(-C2 T / delta*)) with C2 = 1/(32 symbol_sup ratio^2).
-    Raises EpsilonTooLargeError when 4 epsilon >= sigma(Delta).
+    min(1, 2 exp(-C2 T / delta*)) with C2 = 1/(32 symbol_sup ratio^2),
+    or 1 when delta* > T.  The bound needs no centering, so I is left
+    unset; N counts the whole witness cells delta* in the horizon (at
+    least one).  Raises EpsilonTooLargeError when 4 epsilon >= sigma(Delta).
     """
     if Delta <= 0 or T <= 0 or epsilon <= 0:
         raise ValueError("Delta, T, epsilon must be positive")
+    if not math.isfinite(Delta):
+        raise ValueError("Delta must be finite")
     if ratio_bound < 1.0 or symbol_sup_value <= 0:
         raise ValueError("ratio_bound must be >= 1 and symbol_sup_value > 0")
     target = 4.0 * epsilon
@@ -689,32 +597,14 @@ def bound_stationary(
             break
     delta_star = lo  # round down: smaller delta keeps sigma(delta) <= 4 eps
     c2 = 1.0 / (32.0 * symbol_sup_value * ratio_bound * ratio_bound)
-    if delta_star > T:
-        return StationaryBound(1.0, delta_star, c2, epsilon, T)
-    value = min(1.0, 2.0 * math.exp(-c2 * T / delta_star))
-    return StationaryBound(value, delta_star, c2, epsilon, T)
-
-
-def stationary_certificate(
-    sigma: Callable[[float], float],
-    Delta: float,
-    ratio_bound: float,
-    symbol_sup_value: float,
-    T: float,
-    epsilon: float,
-) -> Certificate:
-    """bound_stationary packaged as a certificate.
-
-    The bound needs no centering, so I is left unset; N counts the whole
-    witness cells delta* in the horizon (at least one).  Raises
-    EpsilonTooLargeError as bound_stationary does.
-    """
-    res = bound_stationary(sigma, Delta, ratio_bound, symbol_sup_value, T, epsilon)
+    term = 1.0
+    if delta_star <= T:
+        term = min(1.0, 2.0 * math.exp(-c2 * T / delta_star))
     return Certificate.build(
         epsilon=epsilon, T=T, regime=Regime.sup(), p=2.0,
-        N=max(1, int(math.floor(T / res.delta_star))), delta=res.delta_star,
-        I=None, term_concentration=res.value, term_drift=0.0, mode="EXPLICIT",
-        provenance={"delta_star": res.delta_star, "c2": res.c2,
+        N=max(1, int(math.floor(T / delta_star))), delta=delta_star,
+        I=None, term_concentration=term, term_drift=0.0, mode="EXPLICIT",
+        provenance={"delta_star": delta_star, "c2": c2,
                     "symbol_sup": symbol_sup_value, "ratio_bound": ratio_bound},
     )
 

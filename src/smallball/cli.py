@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,13 +49,32 @@ def _no_duplicates(pairs):
     return dict(pairs)
 
 
+def _finite(parse):
+    # number hook for json.load: NaN, +-Infinity and numbers outside the
+    # float range (1e999, integers of 309 or more digits) are rejected
+    def hook(text):
+        try:
+            val = parse(text)
+            ok = math.isfinite(float(val))
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            if len(text) > 24:
+                text = f"{text[:12]}... ({len(text)} characters)"
+            raise ValueError(f"number {text} is not a finite float")
+        return val
+    return hook
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh, object_pairs_hook=_no_duplicates)
+            cfg = json.load(fh, object_pairs_hook=_no_duplicates,
+                            parse_float=_finite(float), parse_int=_finite(int),
+                            parse_constant=_finite(float))
     except FileNotFoundError:
         raise ConfigError("/", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number hook above
         raise ConfigError("/", f"invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("/", "top level must be a JSON object")

@@ -30,7 +30,6 @@ __all__ = [
     "SpectralSymbol",
     "SymbolSup",
     "sigma2_fbm",
-    "sigma2_profile",
     "increment_covariance",
     "toeplitz_eig_enclosure",
     "s_weight",
@@ -65,18 +64,13 @@ def sigma2_fbm(H: float) -> IncrementalVariance:
     return IncrementalVariance(fn, stationary=True)
 
 
-def sigma2_profile(fn, stationary: Optional[bool] = None) -> IncrementalVariance:
-    """Wrap a plain sigma2 callable; stationarity is probed if unknown."""
-    return IncrementalVariance(fn=fn, stationary=stationary)
-
-
-def fbm_cover_constant(H: float, scan: int = 4096) -> float:
-    """Smallest c with |rho_H(m)| <= c (1+m)^{2H-2} over the scanned lags.
+def fbm_cover_constant(H: float) -> float:
+    """Smallest c with |rho_H(m)| <= c (1+m)^{2H-2} over lags 0..4096.
 
     The maximum sits at lag zero (value 1) for every Hurst index; the scan
     plus the |rho_H(m)| ~ H|2H-1| m^{2H-2} tail guards the claim.
     """
-    m = np.arange(scan + 1)
+    m = np.arange(4096 + 1)
     ratios = np.abs(fgn_autocovariance(H, m)) * (1.0 + m) ** (2.0 - 2.0 * H)
     return float(np.max(ratios))
 
@@ -130,10 +124,6 @@ class IncrementCovariance:
     @property
     def N(self) -> int:
         return self.grid.N
-
-    @property
-    def delta(self) -> float:
-        return self.grid.delta
 
     @property
     def gamma(self) -> np.ndarray:
@@ -337,7 +327,6 @@ class SpectralSymbol:
     """
 
     H: float
-    J: int
     const: float
 
     @property
@@ -350,14 +339,15 @@ class SpectralSymbol:
             raise ValueError("frequency outside [-pi, pi]")
         scalar = lam.ndim == 0
         lam = np.atleast_1d(lam)
-        out = self.const * _symbol_unnormalized(self.H, self.J, lam)
+        out = self.const * _symbol_unnormalized(self.H, lam)
         return float(out[0]) if scalar else out
 
 
-def _symbol_unnormalized(H, J, lam):
+def _symbol_unnormalized(H, lam):
     """(1 - cos lam) * sum_{j in Z} |lam + 2 pi j|^{-1-2H}, vectorized."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     expo = -1.0 - 2.0 * H
+    J = 1000  # explicit terms on each side of j = 0
     j = 2.0 * np.pi * np.arange(1, J + 1)
     series = (np.abs(lam[:, None] + j) ** expo).sum(axis=1)
     series += (np.abs(lam[:, None] - j) ** expo).sum(axis=1)
@@ -383,19 +373,17 @@ def _symbol_unnormalized(H, J, lam):
     return center + one_minus_cos * (series + tail)
 
 
-def fgn_symbol(H: float, J: int = 1000) -> SpectralSymbol:
+def fgn_symbol(H: float) -> SpectralSymbol:
     """Build the fGn spectral density, normalizing by quadrature."""
     if not (0.0 < H < 1.0):
         raise ValueError(f"Hurst index must lie in (0, 1), got {H}")
-    if J < 10:
-        raise ValueError("J must be >= 10")
 
     def unnorm(x):
-        return float(_symbol_unnormalized(H, J, np.array([x]))[0])
+        return float(_symbol_unnormalized(H, np.array([x]))[0])
 
     integral, _ = _integrate.quad(unnorm, 0.0, np.pi, limit=200)
     mean = integral / np.pi  # (1/2pi) * int_{-pi}^{pi} by symmetry
-    return SpectralSymbol(H=H, J=J, const=1.0 / mean)
+    return SpectralSymbol(H=H, const=1.0 / mean)
 
 
 @dataclass(frozen=True)
@@ -404,10 +392,9 @@ class SymbolSup:
     infinite: bool
 
 
-def symbol_sup(symbol: SpectralSymbol, M: int = 2048) -> SymbolSup:
-    """sup f over [0, pi] by grid scan with one local refinement."""
-    if M < 1024:
-        raise ValueError("M must be >= 1024")
+def symbol_sup(symbol: SpectralSymbol) -> SymbolSup:
+    """sup f over [0, pi] by a 2048-step grid scan with one local refinement."""
+    M = 2048
     if not symbol.bounded:
         return SymbolSup(value=math.inf, infinite=True)
     lam = np.linspace(0.0, np.pi, M + 1)

@@ -340,10 +340,11 @@ def drift_norm_samples(
     return np.concatenate(out)
 
 
-def bm_sup_exact(epsilon: float, T: float = 1.0, tol: float = 1e-14) -> float:
+def bm_sup_exact(epsilon: float, T: float = 1.0) -> float:
     """Exact P(sup_{[0,T]} |B_t| <= epsilon) via the alternating theta series.
 
-    (4/pi) sum_k (-1)^k / (2k+1) exp(-(2k+1)^2 pi^2 T / (8 epsilon^2)).
+    (4/pi) sum_k (-1)^k / (2k+1) exp(-(2k+1)^2 pi^2 T / (8 epsilon^2)),
+    summed until a term falls below 1e-14 (at most 202 terms).
     """
     if epsilon <= 0:
         return 0.0
@@ -353,7 +354,7 @@ def bm_sup_exact(epsilon: float, T: float = 1.0, tol: float = 1e-14) -> float:
         m = 2 * k + 1
         term = ((-1.0) ** k / m) * math.exp(-m * m * math.pi**2 * T / (8.0 * epsilon**2))
         total += term
-        if abs(term) < tol or k > 200:
+        if abs(term) < 1e-14 or k > 200:
             break
         k += 1
     return max(0.0, min(1.0, 4.0 / math.pi * total))

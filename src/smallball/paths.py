@@ -67,10 +67,6 @@ class SamplePath:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
 
 def sup_norm(path: SamplePath) -> float:
     """max_k |f(t_k)|."""

@@ -218,10 +218,6 @@ class DistSpec:
         """sup |Z| = |low| v |high|."""
         return max(abs(self.low), abs(self.high))
 
-    @property
-    def range(self) -> float:
-        return self.high - self.low
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(self.low, self.high, size)
@@ -319,9 +315,9 @@ def _x_increments_block(spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, st
         return fgn_increments_block(spec.H, grid.N, grid.delta, seed, streams)
     if spec.kind == "bm":
         return fgn_increments_block(0.5, grid.N, grid.delta, seed, streams)
-    from .gausscov import increment_covariance, sigma2_profile
+    from .gausscov import IncrementalVariance, increment_covariance
 
-    cov = increment_covariance(sigma2_profile(spec.sigma2), grid)
+    cov = increment_covariance(IncrementalVariance(spec.sigma2), grid)
     return gaussian_increments_block(cov.sampling_factor(), seed, streams)
 
 

@@ -26,10 +26,10 @@ from smallball.bounds import (
     Certificate,
     InfeasibleCertificateError,
     Regime,
-    bound_fbm_holder_norm,
     bound_gaussian_class,
-    bound_iid_sum,
     empirical_certificate,
+    fbm_holder_certificate,
+    iid_sum_certificate,
     representation_feasibility,
     witness_margins,
 )
@@ -51,6 +51,7 @@ from smallball.mcverify import (
 )
 from smallball.paths import UniformGrid
 from smallball.simulate import (
+    DistSpec,
     DriftSpec,
     ProcessSpec,
     SeedSpec,
@@ -247,8 +248,8 @@ def test_criterion_03_rate_recovery(art_root):
 
 def _build_c4(workers):
     eps_a = [float(e) for e in np.geomspace(0.06, 0.18, 10)]
-    bounds_a = [bound_fbm_holder_norm(0.4, 0.2, e) for e in eps_a]
-    fit = fit_rate(eps_a, [b.value for b in bounds_a],
+    certs_a = [fbm_holder_certificate(0.4, 0.2, e) for e in eps_a]
+    fit = fit_rate(eps_a, [c.total for c in certs_a],
                    mode="PREFACTOR_AWARE", c1=2.0)
 
     eps_e = (0.1, 0.12, 0.15, 0.2, 0.3, 0.45, 0.6)
@@ -256,11 +257,12 @@ def _build_c4(workers):
         ProcessSpec(kind="fbm", H=0.4), UniformGrid(1.0, 2048), eps_e,
         50_000, 404, norm=NormSpec("holder", beta=0.2), workers=workers,
     )
-    cert_values = [bound_fbm_holder_norm(0.4, 0.2, e).value for e in eps_e]
+    cert_values = [fbm_holder_certificate(0.4, 0.2, e).total for e in eps_e]
 
     lines = ["epsilon,value,c2,gamma,delta"]
-    lines += [f"{e!r},{b.value!r},{b.c2!r},{b.gamma!r},{b.delta!r}"
-              for e, b in zip(eps_a, bounds_a)]
+    lines += [f"{e!r},{c.total!r},{c.provenance['c2']!r},"
+              f"{c.provenance['gamma']!r},{c.delta!r}"
+              for e, c in zip(eps_a, certs_a)]
     files = {
         "holder_bounds.csv": "\n".join(lines) + "\n",
         "holder_estimates.csv": table.to_csv_text(),
@@ -285,8 +287,9 @@ def test_criterion_04_holder_norm_rate(art_root):
 
 
 def _build_c5(workers):
-    paper = bound_iid_sum(16, 0.5, 1.0, 0.125, mode="PAPER_CONSTANTS")
-    sharp = bound_iid_sum(16, 0.5, 1.0, 0.125, mode="SHARP")
+    steps = DistSpec.uniform(-1.0, 1.0)  # E|Z| = 1/2, |Z| <= 1
+    paper = iid_sum_certificate(steps, 16, 0.125, mode="PAPER_CONSTANTS").total
+    sharp = iid_sum_certificate(steps, 16, 0.125, mode="SHARP").total
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(505)))
     n_sim = 200_000
     k_half = k_two = 0

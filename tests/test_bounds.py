@@ -15,16 +15,15 @@ from scipy.special import zeta
 from smallball.bounds import (
     Certificate,
     Regime,
-    bound_fbm_holder_norm,
     bound_gaussian_class,
-    bound_holder_indep,
-    bound_iid_sum,
-    bound_stationary,
     drift_threshold,
     empirical_certificate,
+    fbm_holder_certificate,
     feasible,
+    holder_indep_certificate,
     iid_sum_certificate,
     representation_feasibility,
+    stationary_certificate,
     witness_margins,
 )
 from smallball.concentration import cp_upper, drift_bounded_model, gauss_l2_tail
@@ -114,22 +113,20 @@ class TestIidSum:
     DIST = DistSpec.uniform(-1.0, 1.0)
 
     def test_pinned_constant(self):
-        val = bound_iid_sum(16, self.DIST.mean_abs, self.DIST.abs_bound, 0.125)
+        val = iid_sum_certificate(self.DIST, 16, 0.125).total
         assert val == pytest.approx(TWO_OVER_E, rel=1e-13)
         assert round(val, 6) == 0.735759
 
     def test_sharp_variant_is_tighter(self):
-        val = bound_iid_sum(
-            16, self.DIST.mean_abs, self.DIST.abs_bound, 0.125, mode="SHARP"
-        )
+        val = iid_sum_certificate(self.DIST, 16, 0.125, mode="SHARP").total
         assert val == pytest.approx(TWO_OVER_E2, rel=1e-13)
         assert val < TWO_OVER_E
 
     def test_epsilon_gate(self):
         with pytest.raises(EpsilonTooLargeError):
-            bound_iid_sum(16, 0.5, 1.0, 0.13)
+            iid_sum_certificate(self.DIST, 16, 0.13)
         # boundary epsilon = mean_abs / 4 is allowed
-        bound_iid_sum(16, 0.5, 1.0, 0.125)
+        iid_sum_certificate(self.DIST, 16, 0.125)
 
     def test_certificate_wrapper(self):
         cert = iid_sum_certificate(self.DIST, 16, 0.125)
@@ -148,103 +145,110 @@ class TestIidSum:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            bound_iid_sum(0, 0.5, 1.0, 0.1)
+            iid_sum_certificate(self.DIST, 0, 0.1)
         with pytest.raises(ValueError):
-            bound_iid_sum(16, -0.5, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            bound_iid_sum(16, 0.5, 1.0, 0.1, mode="LOOSE")
+            iid_sum_certificate(self.DIST, 16, 0.1, mode="LOOSE")
 
 
 class TestHolderIndep:
     def test_closed_form_case(self):
         # H = beta = 1/2, L = 1, c_inc = 2:
         #   gamma = 2, c_explicit = c^2/8 * (4/c)^{-2} = 1/8
-        res = bound_holder_indep(0.5, 0.5, T=1.0, epsilon=0.1, holder_bound=1.0, c_inc=2.0)
-        assert res.gamma == pytest.approx(2.0, abs=1e-14)
-        assert res.c_explicit == pytest.approx(0.125, rel=1e-13)
-        assert res.value == pytest.approx(2.0 * math.exp(-12.5), rel=1e-12)
-        assert not res.useless
+        cert = holder_indep_certificate(0.5, 0.5, T=1.0, epsilon=0.1, holder_bound=1.0, c_inc=2.0)
+        assert cert.provenance["gamma"] == pytest.approx(2.0, abs=1e-14)
+        assert cert.provenance["c_explicit"] == pytest.approx(0.125, rel=1e-13)
+        assert cert.total == pytest.approx(2.0 * math.exp(-12.5), rel=1e-12)
+        assert "USELESS" not in cert.flags
 
     def test_gamma_is_inverse_h_on_the_diagonal(self):
-        res = bound_holder_indep(0.25, 0.25, T=1.0, epsilon=0.05, holder_bound=1.0, c_inc=1.0)
-        assert res.gamma == pytest.approx(4.0, rel=1e-13)
+        cert = holder_indep_certificate(0.25, 0.25, T=1.0, epsilon=0.05, holder_bound=1.0, c_inc=1.0)
+        assert cert.provenance["gamma"] == pytest.approx(4.0, rel=1e-13)
 
     def test_useless_when_beta_reaches_h_plus_half(self):
-        res = bound_holder_indep(0.3, 0.8, T=1.0, epsilon=0.1, holder_bound=1.0, c_inc=1.0)
-        assert res.useless
-        assert res.gamma == 0.0
+        cert = holder_indep_certificate(0.3, 0.8, T=1.0, epsilon=0.1, holder_bound=1.0, c_inc=1.0)
+        assert "USELESS" in cert.flags
+        assert cert.provenance["gamma"] == 0.0
 
     def test_witness_scale_exceeding_horizon_gives_trivial_bound(self):
         # delta* = (4 eps / c)^{1/beta} > T: nothing to certify
-        res = bound_holder_indep(0.3, 0.3, T=0.01, epsilon=0.2, holder_bound=1.0, c_inc=1.0)
-        assert res.value == 1.0
+        cert = holder_indep_certificate(0.3, 0.3, T=0.01, epsilon=0.2, holder_bound=1.0, c_inc=1.0)
+        assert cert.total == 1.0
+        assert cert.vacuous
+        assert cert.provenance["reason"] == "no partition fits the horizon"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            bound_holder_indep(0.6, 0.5, T=1.0, epsilon=0.1, holder_bound=1.0, c_inc=1.0)
+            holder_indep_certificate(0.6, 0.5, T=1.0, epsilon=0.1, holder_bound=1.0, c_inc=1.0)
         with pytest.raises(ValueError):
-            bound_holder_indep(0.3, 0.5, T=1.0, epsilon=1.5, holder_bound=1.0, c_inc=1.0)
+            holder_indep_certificate(0.3, 0.5, T=1.0, epsilon=1.5, holder_bound=1.0, c_inc=1.0)
 
 
 class TestFbmHolderNorm:
     def test_rate_and_constants(self):
-        res = bound_fbm_holder_norm(0.4, 0.2, epsilon=0.1, T=1.0)
-        assert res.gamma == 5.0  # 1 / (H - beta), exactly representable
+        cert = fbm_holder_certificate(0.4, 0.2, epsilon=0.1, T=1.0)
+        assert cert.provenance["gamma"] == 5.0  # 1 / (H - beta), exactly representable
         s_inf = 2.0 * zeta(1.2) - 1.0
-        assert res.c2 == pytest.approx(2.0**-5 / (16.0 * s_inf), rel=1e-12)
-        assert res.delta == pytest.approx((2.0 * 0.1) ** 5, rel=1e-12)
-        assert res.value == pytest.approx(
-            2.0 * math.exp(-res.c2 * 0.1**-5.0), rel=1e-12
+        c2 = cert.provenance["c2"]
+        assert c2 == pytest.approx(2.0**-5 / (16.0 * s_inf), rel=1e-12)
+        assert cert.delta == pytest.approx((2.0 * 0.1) ** 5, rel=1e-12)
+        assert cert.total == pytest.approx(
+            2.0 * math.exp(-c2 * 0.1**-5.0), rel=1e-12
         )
 
     def test_value_decays_like_the_rate(self):
         eps = np.geomspace(0.06, 0.15, 8)
-        vals = np.array([bound_fbm_holder_norm(0.4, 0.2, epsilon=e, T=1.0).value for e in eps])
+        vals = np.array([fbm_holder_certificate(0.4, 0.2, epsilon=e, T=1.0).total for e in eps])
         slopes = np.diff(np.log(-np.log(vals / 2.0))) / np.diff(np.log(1.0 / eps))
         np.testing.assert_allclose(slopes, 5.0, rtol=1e-10)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            bound_fbm_holder_norm(0.5, 0.2, epsilon=0.1, T=1.0)  # needs H < 1/2
+            fbm_holder_certificate(0.5, 0.2, epsilon=0.1, T=1.0)  # needs H < 1/2
         with pytest.raises(ValueError):
-            bound_fbm_holder_norm(0.4, 0.4, epsilon=0.1, T=1.0)  # needs beta < H
+            fbm_holder_certificate(0.4, 0.4, epsilon=0.1, T=1.0)  # needs beta < H
         with pytest.raises(ValueError):
-            bound_fbm_holder_norm(0.4, 0.2, epsilon=0.0, T=1.0)
+            fbm_holder_certificate(0.4, 0.2, epsilon=0.0, T=1.0)
 
 
 class TestStationary:
     SQRT = staticmethod(lambda d: math.sqrt(d))
 
     def test_witness_scale_solves_sigma_equals_4eps(self):
-        res = bound_stationary(
+        cert = stationary_certificate(
             self.SQRT, Delta=1.0, ratio_bound=math.sqrt(2.0),
             symbol_sup_value=1.0, T=1.0, epsilon=0.125,
         )
-        assert res.delta_star == pytest.approx(0.25, abs=1e-9)
-        assert res.c2 == pytest.approx(1.0 / 64.0, rel=1e-12)
-        assert res.value == 1.0  # exponent below ln 2 at this epsilon
+        assert cert.delta == pytest.approx(0.25, abs=1e-9)
+        assert cert.provenance["c2"] == pytest.approx(1.0 / 64.0, rel=1e-12)
+        assert cert.total == 1.0  # exponent below ln 2 at this epsilon
 
     def test_small_epsilon_value(self):
-        res = bound_stationary(
+        cert = stationary_certificate(
             self.SQRT, Delta=1.0, ratio_bound=math.sqrt(2.0),
             symbol_sup_value=1.0, T=1.0, epsilon=0.01,
         )
-        assert res.delta_star == pytest.approx(0.0016, rel=1e-8)
-        assert res.value == pytest.approx(
-            2.0 * math.exp(-res.c2 * res.T / res.delta_star), rel=1e-12
+        assert cert.delta == pytest.approx(0.0016, rel=1e-8)
+        assert cert.total == pytest.approx(
+            2.0 * math.exp(-cert.provenance["c2"] * cert.T / cert.delta), rel=1e-12
         )
 
     def test_epsilon_gate(self):
         with pytest.raises(EpsilonTooLargeError):
-            bound_stationary(
+            stationary_certificate(
                 self.SQRT, Delta=1.0, ratio_bound=math.sqrt(2.0),
                 symbol_sup_value=1.0, T=1.0, epsilon=0.25,
             )
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            bound_stationary(self.SQRT, Delta=1.0, ratio_bound=0.9,
-                             symbol_sup_value=1.0, T=1.0, epsilon=0.01)
+            stationary_certificate(self.SQRT, Delta=1.0, ratio_bound=0.9,
+                                   symbol_sup_value=1.0, T=1.0, epsilon=0.01)
+
+    def test_infinite_delta_rejected(self):
+        # an unbounded scale range would leave the bracket search halving forever
+        with pytest.raises(ValueError, match="Delta must be finite"):
+            stationary_certificate(self.SQRT, Delta=math.inf, ratio_bound=1.5,
+                                   symbol_sup_value=1.0, T=1.0, epsilon=0.01)
 
 
 class TestGaussianClass:

@@ -9,6 +9,7 @@ import copy
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -48,6 +49,13 @@ class TestConfigLoading:
         code, _, err = run_cli(tmp_path, capsys, "feasibility", "{not json")
         assert code == 2
         assert parse_error(err)["type"] == "config"
+
+    def test_invalid_utf8_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b'\xff{"H": 0.75}')
+        code = main(["feasibility", "--config", str(cfg_path)])
+        assert code == 2
+        assert parse_error(capsys.readouterr().err)["type"] == "config"
 
     def test_missing_file(self, capsys):
         code = main(["feasibility", "--config", "/nonexistent/x.json"])
@@ -424,6 +432,10 @@ class TestGoldenBytes:
         assert text.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def _not_finite(number):
+    return f"invalid JSON: number {number} is not a finite float"
+
+
 class TestProducerErrors:
     """Values the schema lets through but a producer rejects end as config
     errors with exit 2, not as tracebacks."""
@@ -451,9 +463,35 @@ class TestProducerErrors:
          "expected an integer >= 2 or a list of them"),
         ("bound", {"kind": "gaussian_class", "H": 0.3, "epsilons": [0.1],
                    "delta_mesh": 0}, "/", "delta_mesh must be positive"),
+        # JSON parsing lets NaN, +-Infinity and out-of-range numbers through
+        ("bound", {"kind": "gaussian_class", "H": 0.3, "T": math.inf,
+                   "epsilons": [0.1]}, "/", _not_finite("Infinity")),
+        ("bound", {"kind": "holder_indep", "H": 0.3, "beta": 0.5, "c_inc": 1,
+                   "holder_bound": 1, "T": math.inf, "epsilons": [0.1]}, "/",
+         _not_finite("Infinity")),
+        ("bound", {"kind": "fbm_holder", "H": 0.4, "beta": 0.2, "T": math.inf,
+                   "epsilons": [0.1]}, "/", _not_finite("Infinity")),
+        ("bound", {"kind": "stationary", "H": 0.3, "T": math.inf,
+                   "epsilons": [0.1]}, "/", _not_finite("Infinity")),
+        ("bound", {"kind": "stationary", "H": 0.3, "Delta": math.inf,
+                   "epsilons": [0.1]}, "/", _not_finite("Infinity")),
+        ("bound", {"kind": "gaussian_class", "H": 0.3, "T": -math.inf,
+                   "epsilons": [0.1]}, "/", _not_finite("-Infinity")),
+        ("bound", {"kind": "gaussian_class", "H": math.nan,
+                   "epsilons": [0.1]}, "/", _not_finite("NaN")),
+        ("bound", '{"kind": "gaussian_class", "H": 0.3, "T": 1e999, '
+                  '"epsilons": [0.1]}', "/", _not_finite("1e999")),
+        ("bound", '{"kind": "gaussian_class", "H": 0.3, "T": ' + "1" * 5001
+         + ', "epsilons": [0.1]}', "/",
+         _not_finite("111111111111... (5001 characters)")),
+        ("verify", {"process": {"kind": "bm"}, "N": 64, "n_paths": 1000,
+                    "epsilons": [math.inf]}, "/", _not_finite("Infinity")),
     ], ids=["feasibility-beta", "estimate-N", "verify-N", "simulate-N",
             "simulate-n", "simulate-T", "simulate-dist", "rate-values",
-            "rate-window", "toeplitz-N", "bound-mesh"])
+            "rate-window", "toeplitz-N", "bound-mesh", "gaussian_class-T-inf",
+            "holder_indep-T-inf", "fbm_holder-T-inf", "stationary-T-inf",
+            "stationary-Delta-inf", "T-minus-inf", "H-nan", "T-1e999",
+            "T-long-integer", "verify-epsilon-inf"])
     def test_config_error(self, command, config, pointer, message, tmp_path,
                           capsys):
         code, _, err = run_cli(tmp_path, capsys, command, config,
@@ -519,6 +557,7 @@ _FUZZ_BASES = [
 _FUZZ_VALUES = st.sampled_from([
     -1, 0, 1, 2, 4, -1.0, 0.0, 0.3, 0.75, 1.5, 64.0,
     "x", "fbm", True, None, [], [0.3], {}, {"kind": "bm"},
+    float("inf"), float("nan"),
 ])
 
 

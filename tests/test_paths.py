@@ -48,10 +48,6 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             p.values[0] = 5.0
 
-    def test_increments(self):
-        p = _path([0.0, 1.0, -1.0, 0.5])
-        np.testing.assert_allclose(p.increments, [1.0, -2.0, 1.5])
-
 
 class TestNorms:
     def test_sup_norm_hand_case(self):

@@ -113,7 +113,6 @@ class TestIidSums:
         assert d.mean == 0.0
         assert d.mean_abs == 0.5
         assert d.abs_bound == 1.0
-        assert d.range == 2.0
 
     def test_scaled_beta_mean_abs_matches_quadrature(self):
         from scipy import integrate
