@@ -12,7 +12,7 @@ with probabilities near one.
 import numpy as np
 
 from smallball.bounds import bound_gaussian_class, fbm_holder_certificate
-from smallball.mcverify import fit_rate, estimate_small_ball, NormSpec
+from smallball.mcverify import fit_rate, estimate_small_ball
 from smallball.paths import UniformGrid
 from smallball.simulate import ProcessSpec
 

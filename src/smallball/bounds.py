@@ -397,7 +397,8 @@ def bound_gaussian_class(
     # discrete witness: snap delta up (never down, feasibility is one-sided)
     delta_d = delta_seed
     if delta_mesh is not None:
-        delta_d = math.ceil(delta_seed / delta_mesh - 1e-12) * delta_mesh
+        steps = max(1, math.ceil(delta_seed / delta_mesh - 1e-12))
+        delta_d = steps * delta_mesh
     if delta_d > T:
         raise InfeasibleCertificateError(
             f"mesh snapping pushed delta to {delta_d:g} > T={T:g}",

@@ -350,8 +350,9 @@ def certificates_from_config(cfg: dict, pointer: str = "/") -> list:
     pointer = pointer.rstrip("/")
     try:
         return _certificates(cfg, pointer)
-    except ValueError as exc:
-        # a producer rejected a value the schema lets through
+    except (ValueError, OverflowError) as exc:
+        # a producer rejected a value the schema lets through, or a finite
+        # value overflowed inside it
         raise ConfigError(pointer or "/", str(exc)) from exc
 
 

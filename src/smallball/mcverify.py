@@ -68,29 +68,70 @@ def _norms_block(values: np.ndarray, delta: float, norm: Regime) -> np.ndarray:
 
 
 def _holder_counts(values, delta, beta, epsilons):
-    """Exact indicator counts for the Holder ball, with early exit.
+    """Exact indicator counts for the Holder ball over sorted radii.
 
-    Paths whose running lag-maximum already exceeds max(epsilons) are
-    classified and dropped; the surviving rows get the exact norm.  The
-    counts equal those of a full-norm evaluation.
+    Each row keeps a running maximum over lags of the term
+    |v[t+lag] - v[t]| / (lag*delta)**beta, computed with the expression of
+    ``paths.holder_norm_batch``, and is dropped once it exceeds
+    max(epsilons).  Lags 1-15 are scanned on every live row; the rest come
+    in dyadic blocks [2^j, 2^(j+1)), j >= 4.  Before block j, sliding max
+    and min tables over windows of 2^(j+1) points (extended by doubling)
+    give the row's largest window range r_j, and r_j / (2^j*delta)**beta
+    bounds every term of the block.  A row scans the block only while
+    that bound times (1 + 1e-12) exceeds the smallest radius at or above
+    its running value.
+
+    The counts equal those of full norms.  The running value only grows,
+    and a skipped term lies at or below the smallest radius at or above
+    the running value, so the running value and the full norm fall between
+    the same two radii.  The bound holds in floating point: subtraction is
+    monotone, so |fl(a - b)| <= fl(max - min) for a, b inside a window,
+    and the slack covers ``pow``, which is not correctly rounded.
     """
+    eps = np.asarray(epsilons, dtype=float)
+    above = np.append(eps, np.inf)  # smallest radius >= value; inf once out
     n = values.shape[1] - 1
-    eps_max = epsilons[-1]
     running = np.zeros(values.shape[0])
     act = np.arange(values.shape[0])
     v = values
-    for lag in range(1, n + 1):
-        dev = np.abs(v[:, lag:] - v[:, :-lag]).max(axis=1)
-        dev /= (lag * delta) ** beta
-        cur = np.maximum(running[act], dev)
-        running[act] = cur
-        keep = cur <= eps_max
-        if not keep.all():
-            act = act[keep]
-            if act.size == 0:
-                break
-            v = v[keep]
-    return np.array([(running <= e).sum() for e in epsilons], dtype=np.int64)
+
+    def scan(rows, sub, lags, bound):
+        for lag in lags:
+            dev = np.abs(sub[:, lag:] - sub[:, :-lag]).max(axis=1)
+            dev /= (lag * delta) ** beta
+            cur = np.maximum(running[rows], dev)
+            running[rows] = cur
+            keep = bound > above[np.searchsorted(eps, cur)]
+            if not keep.all():
+                rows, sub, bound = rows[keep], sub[keep], bound[keep]
+                if rows.size == 0:
+                    return
+
+    # a doubling step and the bound cost each row about as much as one
+    # lag, so short blocks cannot repay them; rows that leave within 15
+    # lags never pay for the range tables
+    scan(act, v, range(1, min(n, 15) + 1), np.full(act.size, np.inf))
+    live = running[act] <= eps[-1]
+    act, v = act[live], v[live]
+    hi_max, lo_min, width = v, v, 1
+    lo = 16
+    while lo <= n and act.size:
+        hi = min(2 * lo, n + 1)  # block lags lo..hi-1 span at most hi points
+        while width < hi:
+            step = min(width, hi - width)
+            hi_max = np.maximum(hi_max[:, :-step], hi_max[:, step:])
+            lo_min = np.minimum(lo_min[:, :-step], lo_min[:, step:])
+            width += step
+        bound = (hi_max - lo_min).max(axis=1) / (lo * delta) ** beta
+        bound *= 1.0 + 1e-12
+        pos = np.flatnonzero(bound > above[np.searchsorted(eps, running[act])])
+        scan(act[pos], v[pos], range(lo, hi), bound[pos])
+        live = running[act] <= eps[-1]
+        if not live.all():
+            act, v = act[live], v[live]
+            hi_max, lo_min = hi_max[live], lo_min[live]
+        lo *= 2
+    return np.array([(running <= e).sum() for e in eps], dtype=np.int64)
 
 
 def _counts_block(values, delta, norm: Regime, epsilons) -> np.ndarray:

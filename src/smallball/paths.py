@@ -77,7 +77,8 @@ def holder_norm(path: SamplePath, beta: float) -> float:
     """Discrete beta-Holder seminorm, maximized over all grid pairs.
 
     Cost is O(N^2); intended for N up to a few thousand.  Batched Monte
-    Carlo runs use the screened evaluation in ``mcverify`` instead.
+    Carlo runs use the screened evaluation in ``mcverify`` instead, which
+    prunes by dyadic lag blocks and returns the ball counts, not the norm.
     """
     if not (0 < beta < 1):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")

@@ -300,6 +300,12 @@ class TestGaussianClass:
         assert cert.delta >= 0.4 ** (1.0 / 0.3) - 1e-15
         assert cert.N == int(1.0 / cert.delta)
 
+    def test_mesh_coarser_than_horizon_is_infeasible(self):
+        # a mesh far above the seed width still snaps to one mesh step
+        with pytest.raises(InfeasibleCertificateError):
+            bound_gaussian_class(0.3, 0.3, 1.0, 1.0, 1.0, T=1.0, epsilon=0.1,
+                                 delta_mesh=1e308)
+
     def test_bounded_drift_below_threshold_costs_nothing(self):
         # drift threshold at eps=0.02 is far above a 0.05-bounded drift
         plain = bound_gaussian_class(0.3, 0.3, 1.0, 1.0, 1.0, T=1.0, epsilon=0.02)

@@ -486,12 +486,28 @@ class TestProducerErrors:
          _not_finite("111111111111... (5001 characters)")),
         ("verify", {"process": {"kind": "bm"}, "N": 64, "n_paths": 1000,
                     "epsilons": [math.inf]}, "/", _not_finite("Infinity")),
+        # finite numbers that overflow inside a certificate builder
+        ("bound", {"kind": "fbm_holder", "H": 0.4, "beta": 0.2, "T": 1e308,
+                   "epsilons": [0.1]}, "/",
+         "cannot convert float infinity to integer"),
+        ("bound", {"kind": "holder_indep", "H": 0.3, "beta": 0.5, "c_inc": 1,
+                   "holder_bound": 1, "T": 1e308, "epsilons": [0.1]}, "/",
+         "cannot convert float infinity to integer"),
+        ("bound", {"kind": "stationary", "H": 0.3, "T": 1e308,
+                   "epsilons": [0.1]}, "/",
+         "cannot convert float infinity to integer"),
+        ("bound", {"kind": "iid_sum", "dist": {"kind": "uniform",
+                                               "low": -1e308, "high": 1e308},
+                   "n": 4, "epsilons": [0.1]}, "/",
+         "(34, 'Numerical result out of range')"),
     ], ids=["feasibility-beta", "estimate-N", "verify-N", "simulate-N",
             "simulate-n", "simulate-T", "simulate-dist", "rate-values",
             "rate-window", "toeplitz-N", "bound-mesh", "gaussian_class-T-inf",
             "holder_indep-T-inf", "fbm_holder-T-inf", "stationary-T-inf",
             "stationary-Delta-inf", "T-minus-inf", "H-nan", "T-1e999",
-            "T-long-integer", "verify-epsilon-inf"])
+            "T-long-integer", "verify-epsilon-inf", "fbm_holder-T-1e308",
+            "holder_indep-T-1e308", "stationary-T-1e308",
+            "iid_sum-uniform-1e308"])
     def test_config_error(self, command, config, pointer, message, tmp_path,
                           capsys):
         code, _, err = run_cli(tmp_path, capsys, command, config,
@@ -557,7 +573,7 @@ _FUZZ_BASES = [
 _FUZZ_VALUES = st.sampled_from([
     -1, 0, 1, 2, 4, -1.0, 0.0, 0.3, 0.75, 1.5, 64.0,
     "x", "fbm", True, None, [], [0.3], {}, {"kind": "bm"},
-    float("inf"), float("nan"),
+    float("inf"), float("nan"), 1e308, -1e308,
 ])
 
 

@@ -5,8 +5,6 @@ are exact; distributional ones use the reflection-series law of the
 Brownian sup as an independent oracle.
 """
 
-import math
-
 import numpy as np
 import pytest
 from scipy.stats import norm as normal
@@ -15,6 +13,7 @@ from smallball.bounds import Certificate, Regime
 from smallball.errors import InvalidComparisonError
 from smallball.mcverify import (
     NormSpec,
+    _holder_counts,
     bm_sup_exact,
     estimate_small_ball,
     estimate_small_ball_drifts,
@@ -127,6 +126,50 @@ class TestEstimate:
         norms = holder_norm_batch(vals, grid.delta, 0.2)
         for e, row in zip(eps, table.rows):
             assert row.k == int(np.count_nonzero(norms <= e))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 16, 20, 40, 64, 1000])
+    @pytest.mark.parametrize("H,beta", [(0.3, 0.1), (0.4, 0.2), (0.5, 0.4),
+                                        (0.7, 0.5)])
+    def test_pruned_holder_counts_match_dense_norms(self, H, beta, N):
+        # N not a power of two leaves a partial last lag block, and for
+        # small N the range window is wider than the path
+        grid = UniformGrid(1.0, N)
+        vals = path_values_block(ProcessSpec(kind="fbm", H=H), grid,
+                                 SeedSpec(N), np.arange(48 if N > 64 else 256))
+        norms = holder_norm_batch(vals, grid.delta, beta)
+        lag1 = np.abs(np.diff(vals, axis=1)).max(axis=1) / grid.delta ** beta
+        radius_sets = [
+            [0.5 * lag1.min()],                    # every row leaves at lag 1
+            [0.5 * lag1.min(), 0.9 * lag1.min()],
+            [2.0 * norms.max()],                   # every row survives
+            [float(np.median(norms))],             # a single radius
+            list(np.quantile(norms, [0.1, 0.3, 0.5, 0.7, 0.9])),
+            sorted(norms[:7]),                     # radii equal to norms
+        ]
+        for radii in radius_sets:
+            eps = np.asarray(radii, dtype=float)
+            dense = [int(np.count_nonzero(norms <= e)) for e in eps]
+            assert _holder_counts(vals, grid.delta, beta, eps).tolist() == dense
+
+    def test_pruned_holder_counts_at_a_radius_and_a_large_lag(self):
+        # a unit jump, then a ramp of slope 1/8: with beta = 1/2 and
+        # delta = 1/64 lag l reads (l + 7) / sqrt(l), so the running value
+        # sits exactly at the radius 8 from lag 1 up to the last block
+        # [32, 63], and the norm 70 / sqrt(63) is reached only at lag 63.
+        # That block must be scanned, and scanned on past lag 32.
+        grid = UniformGrid(63 / 64, 63)
+        path = np.concatenate([[0.0], 1.0 + np.arange(63) / 8.0])[None, :]
+        assert holder_norm_batch(path[:, :32], grid.delta, 0.5)[0] == 8.0
+        norm = holder_norm_batch(path, grid.delta, 0.5)[0]
+        assert norm == pytest.approx(70 / 63 ** 0.5, rel=1e-15)
+        for radii, counts in [
+            ([8.0, 16.0], [0, 1]),
+            ([8.0, norm, 16.0], [0, 1, 1]),
+            ([norm], [1]),
+            ([np.nextafter(norm, 0.0)], [0]),
+        ]:
+            eps = np.asarray(radii)
+            assert _holder_counts(path, grid.delta, 0.5, eps).tolist() == counts
 
     def test_l1_norm_counts(self):
         eps = [0.2, 0.5]
