@@ -413,34 +413,39 @@ def _cmd_simulate(cfg, args):
     if n_paths < 1:
         raise ConfigError("/n_paths", "must be >= 1")
     try:
-        if "dist" in cfg:
-            from .simulate import iid_sums_block
+        with np.errstate(over="ignore", invalid="ignore"):
+            if "dist" in cfg:
+                from .simulate import iid_sums_block
 
-            dist = _parse_dist(_get(cfg, "dist", dict, ""), "/dist")
-            n = _get(cfg, "n", int, "", required=True)
-            values = iid_sums_block(dist, n, SeedSpec(seed), np.arange(n_paths))
-            times = np.arange(n + 1, dtype=float)
-            label = f"iid({dist.kind})"
-        else:
-            proc_obj = _get(cfg, "process", dict, "", required=True)
-            spec = _parse_process(proc_obj, "/process")
-            grid = UniformGrid(
-                _get(cfg, "T", float, "", default=1.0),
-                _get(cfg, "N", int, "", required=True),
-            )
-            values = path_values_block(spec, grid, SeedSpec(seed), np.arange(n_paths))
-            times = grid.times
-            label = spec.label()
-    except ValueError as exc:
+                dist = _parse_dist(_get(cfg, "dist", dict, ""), "/dist")
+                n = _get(cfg, "n", int, "", required=True)
+                values = iid_sums_block(dist, n, SeedSpec(seed), np.arange(n_paths))
+                times = np.arange(n + 1, dtype=float)
+                label = f"iid({dist.kind})"
+            else:
+                proc_obj = _get(cfg, "process", dict, "", required=True)
+                spec = _parse_process(proc_obj, "/process")
+                grid = UniformGrid(
+                    _get(cfg, "T", float, "", default=1.0),
+                    _get(cfg, "N", int, "", required=True),
+                )
+                values = path_values_block(spec, grid, SeedSpec(seed),
+                                           np.arange(n_paths))
+                times = grid.times
+                label = spec.label()
+    except (ValueError, OverflowError) as exc:
         # a producer rejected a value the schema lets through
         raise ConfigError("/", str(exc)) from exc
+    if not np.isfinite(values).all():
+        # finite inputs whose paths overflow, e.g. a huge horizon T
+        raise ConfigError("/", "simulated values are not finite")
     digest = config_digest(_effective_config(cfg, args))
     lines = [f"# simulated paths: {label}", f"# seed={seed}",
              f"# config_digest={digest}",
              "t," + ",".join(f"path_{b}" for b in range(n_paths))]
     for i, t in enumerate(times):
         row = ",".join(repr(float(v)) for v in values[:, i])
-        lines.append(f"{t!r},{row}")
+        lines.append(f"{float(t)!r},{row}")
     if not args.out:
         raise ConfigError("/", "simulate requires --out for the CSV artifact")
     _mc.write_text_artifact(args.out, "\n".join(lines) + "\n")

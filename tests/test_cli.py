@@ -127,6 +127,25 @@ class TestSimulate:
         assert code == 0
         assert "iid(rademacher)" in out.read_text()
 
+    @pytest.mark.parametrize("cfg", [
+        {"process": {"kind": "fbm", "H": 0.3}, "N": 4, "n_paths": 2},
+        {"dist": {"kind": "rademacher"}, "n": 4, "n_paths": 2},
+    ], ids=["fbm", "iid"])
+    def test_body_cells_are_numbers(self, cfg, tmp_path, capsys):
+        out = tmp_path / "paths.csv"
+        code, _, _ = run_cli(tmp_path, capsys, "simulate", cfg, "--out", str(out))
+        assert code == 0
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = list(csv.reader(body[1:]))
+        assert len(rows) == 5
+        for row in rows:
+            assert len(row) == 3
+            for cell in row:
+                float(cell)
+        assert [row[0] for row in rows] == (
+            ["0.0", "0.25", "0.5", "0.75", "1.0"] if "process" in cfg
+            else ["0.0", "1.0", "2.0", "3.0", "4.0"])
+
     def test_requires_out(self, tmp_path, capsys):
         cfg = {"process": {"kind": "bm"}, "N": 8}
         code, _, err = run_cli(tmp_path, capsys, "simulate", cfg)
@@ -454,6 +473,14 @@ class TestProducerErrors:
         ("simulate", {"process": {"kind": "bm"}, "N": 8, "T": -1}, "/",
          "T must be positive, got -1.0"),
         ("simulate", {"dist": 1, "n": 4}, "/dist", "expected dict"),
+        # finite inputs whose simulated paths overflow
+        ("simulate", {"process": {"kind": "fbm", "H": 0.3,
+                                  "drift": {"kind": "fbm", "H2": 0.75}},
+                      "T": 1e308, "N": 64, "n_paths": 2}, "/",
+         "simulated values are not finite"),
+        ("simulate", {"dist": {"kind": "uniform", "low": -1e308,
+                               "high": 1e308}, "n": 8, "n_paths": 2}, "/",
+         "high - low range exceeds valid bounds"),
         ("rate", {"epsilons": [0.1, 0.2, 0.3], "values": [0.01, 0.1, {}]},
          "/values", "expected a list of numbers"),
         ("rate", {"epsilons": [0.1, 0.2, 0.3], "values": [0.01, 0.1, 0.3],
@@ -501,7 +528,8 @@ class TestProducerErrors:
                    "n": 4, "epsilons": [0.1]}, "/",
          "(34, 'Numerical result out of range')"),
     ], ids=["feasibility-beta", "estimate-N", "verify-N", "simulate-N",
-            "simulate-n", "simulate-T", "simulate-dist", "rate-values",
+            "simulate-n", "simulate-T", "simulate-dist", "simulate-T-1e308",
+            "simulate-uniform-1e308", "rate-values",
             "rate-window", "toeplitz-N", "bound-mesh", "gaussian_class-T-inf",
             "holder_indep-T-inf", "fbm_holder-T-inf", "stationary-T-inf",
             "stationary-Delta-inf", "T-minus-inf", "H-nan", "T-1e999",

@@ -12,9 +12,11 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.special import zeta
 
+from smallball import gausscov
 from smallball.gausscov import (
     IncrementalVariance,
     _count_below,
+    _symbol_unnormalized,
     fbm_cover_constant,
     fgn_symbol,
     gamma_two_norm_bound,
@@ -121,6 +123,30 @@ class TestToeplitzEigEnclosure:
         with pytest.raises(ValueError):
             toeplitz_eig_enclosure([1.0, 0.5], "middle")
 
+    # inertia passes per enclosure: the Rayleigh end is tight at the top of
+    # the H < 1/2 spectrum, so the upward probes skip most of the bisection;
+    # where it is loose they cost two passes over plain bisection, written
+    # as its pass count + 2
+    @pytest.mark.parametrize("H,which,N,passes", [
+        (0.3, "max", 2048, 12), (0.3, "max", 1024, 12), (0.3, "max", 256, 23),
+        (0.45, "max", 2048, 11), (0.45, "max", 1024, 11),
+        (0.3, "min", 1024, 38 + 2), (0.3, "min", 2048, 37 + 2),
+        (0.45, "min", 1024, 39 + 2), (0.45, "min", 2048, 39 + 2),
+        (0.7, "max", 1024, 42 + 2), (0.7, "max", 2048, 42 + 2),
+    ])
+    def test_inertia_passes(self, H, which, N, passes, monkeypatch):
+        calls = []
+
+        def counted(row, mu):
+            calls.append(mu)
+            return _count_below(row, mu)
+
+        monkeypatch.setattr(gausscov, "_count_below", counted)
+        row = fgn_autocovariance(H, np.arange(N))
+        lo, hi = toeplitz_eig_enclosure(row, which)
+        assert len(calls) <= passes
+        assert 0.0 <= hi - lo <= 1e-13 * 2 * np.abs(row).sum()
+
 
 class TestRowWeights:
     @pytest.mark.parametrize("H,N", [(0.3, 7), (0.5, 12), (0.8, 9), (0.45, 40)])
@@ -181,6 +207,26 @@ class TestSpectralSymbol:
         assert symbol_sup(fgn_symbol(0.45)).value == pytest.approx(
             1.105896028035461, rel=1e-9
         )
+
+    @pytest.mark.parametrize("H", [0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3,
+                                   0.35, 0.4, 0.45, 0.4999, 0.5])
+    def test_sup_equals_full_grid_scan(self, H):
+        # the screened scan must return the very float a full evaluation of
+        # both grids returns
+        sym = fgn_symbol(H)
+        lam = np.linspace(0.0, math.pi, 2049)
+        k = int(np.argmax(sym.evaluate(lam)))
+        fine = np.linspace(lam[max(k - 1, 0)], lam[min(k + 1, 2048)], 2049)
+        assert symbol_sup(sym).value == float(np.max(sym.evaluate(fine)))
+
+    @pytest.mark.parametrize("H", [0.02, 0.1, 0.2, 0.3, 0.4, 0.45, 0.4999, 0.5])
+    def test_screen_matches_series_to_rounding(self, H):
+        # the screen band of 1e-9 is exact only while the Hurwitz zeta form
+        # stays within rounding of the explicit series
+        lam = np.linspace(0.0, math.pi, 2049)
+        exact = _symbol_unnormalized(H, lam)
+        screen = _symbol_unnormalized(H, lam, screen=True)
+        assert np.all(np.abs(screen - exact) <= 1e-12 * exact)
 
     def test_antipersistent_sup_is_at_pi(self):
         # for H < 1/2 the density increases toward the Nyquist frequency
