@@ -18,10 +18,6 @@ from .errors import (
 )
 from .paths import (
     UniformGrid,
-    SamplePath,
-    sup_norm,
-    l1_norm,
-    holder_norm,
     holder_norm_batch,
     increment_lp,
 )

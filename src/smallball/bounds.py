@@ -515,7 +515,7 @@ def fbm_holder_certificate(
     I = sqrt(N) delta^H is feasible for the beta-Holder ball of radius
     epsilon, giving
 
-        P(holder_norm(X) <= epsilon) <= c1 exp(-c2 epsilon^(-gamma)),
+        P(|X|_{beta-Holder} <= epsilon) <= c1 exp(-c2 epsilon^(-gamma)),
         c1 = 2, gamma = 1 / (H - beta),
         c2 = T 2^(-gamma) / (16 c_deriv S(H)),
 

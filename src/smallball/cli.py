@@ -407,6 +407,8 @@ def _effective_config(cfg, args) -> dict:
 
 def _cmd_simulate(cfg, args):
     _check_keys(cfg, {"process", "dist", "n", "T", "N", "n_paths", "seed"}, "")
+    if not args.out:
+        raise ConfigError("/", "simulate requires --out for the CSV artifact")
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, "", default=0)
     n_paths = args.paths if args.paths is not None else _get(
         cfg, "n_paths", int, "", default=1)
@@ -446,8 +448,6 @@ def _cmd_simulate(cfg, args):
     for i, t in enumerate(times):
         row = ",".join(repr(float(v)) for v in values[:, i])
         lines.append(f"{float(t)!r},{row}")
-    if not args.out:
-        raise ConfigError("/", "simulate requires --out for the CSV artifact")
     _mc.write_text_artifact(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -594,9 +594,12 @@ def _cmd_verify(cfg, args):
         raise ConfigError("/", str(exc)) from exc
 
     bound_cfg = _get(cfg, "bound", dict, "", default=None)
+    bound_pointer = "/bound"
     if bound_cfg is None:
+        # the default suite certifies the top-level process: errors point there
         bound_cfg = {"process": _get(cfg, "process", dict, "", required=True),
                      "T": grid.T}
+        bound_pointer = ""
     else:
         bound_cfg = dict(bound_cfg)
         if _EPS_KEYS & bound_cfg.keys():
@@ -607,7 +610,7 @@ def _cmd_verify(cfg, args):
         # snap certificate partitions onto the simulation grid so the
         # certified event contains the simulated discrete event
         bound_cfg.setdefault("delta_mesh", grid.delta)
-    certs = certificates_from_config(bound_cfg, "/bound")
+    certs = certificates_from_config(bound_cfg, bound_pointer)
 
     est_cfg = {k: v for k, v in cfg.items() if k != "bound"}
     table = _estimate_from_config(est_cfg, args)

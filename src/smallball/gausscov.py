@@ -47,9 +47,6 @@ class IncrementalVariance:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stationary: Optional[bool] = None
 
-    def __call__(self, s, t):
-        return self.fn(s, t)
-
 
 def sigma2_fbm(H: float) -> IncrementalVariance:
     """Variance profile |t-s|^{2H} of fractional Brownian motion."""

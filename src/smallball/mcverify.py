@@ -345,21 +345,15 @@ def partition_norm_samples(
 ) -> np.ndarray:
     """Draws of |X|_p, the l^p increment norm of the centered process.
 
-    The drift is stripped; streams match estimate_small_ball, so these are
+    The drift is ignored; streams match estimate_small_ball, so these are
     the |X|_p values of the same underlying x paths.
     """
-    from dataclasses import replace
-    from .simulate import DriftSpec
-
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    bare = replace(spec, drift=DriftSpec())
     seed_spec = SeedSpec(seed)
     out = []
     for start, size in _chunk_ranges(n_paths):
-        values = path_values_block(
-            bare, grid, seed_spec, np.arange(start, start + size)
-        )
+        values = x_values_block(spec, grid, seed_spec, np.arange(start, start + size))
         out.append(increment_lp(values, p))
     return np.concatenate(out)
 

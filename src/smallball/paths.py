@@ -1,22 +1,21 @@
-"""Uniform time grids, sampled paths, and the path norms used by the bounds.
+"""Uniform time grids and the grid quantities that need no simulation.
 
-All norms are computed exactly on the grid: the sup norm is the max of
-|values|, the Holder norm maximizes |f(t)-f(s)| / (t-s)**beta over every
-grid pair, and the L1 norm is the left Riemann sum of |f|.
+``holder_norm_batch`` is the dense Holder seminorm, maximizing
+|f(t)-f(s)| / (t-s)**beta over every grid pair of every row; it is the
+reference for the pruned ball counts in ``mcverify``, which also holds
+the sup and L1 norms of the Monte Carlo estimates.  ``increment_lp`` is
+the increment norm |X|_p of the partition split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "UniformGrid",
-    "SamplePath",
-    "sup_norm",
-    "holder_norm",
-    "l1_norm",
+    "holder_norm_batch",
     "increment_lp",
 ]
 
@@ -44,47 +43,6 @@ class UniformGrid:
         return np.linspace(0.0, self.T, self.N + 1)
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """A function sampled on a uniform grid: values[k] = f(t_k).
-
-    Paths of centered processes start at zero; drift paths need not.
-    """
-
-    grid: UniformGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.shape[0] != self.grid.N + 1:
-            raise ValueError(
-                f"values must have length N+1 = {self.grid.N + 1}, "
-                f"got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-def sup_norm(path: SamplePath) -> float:
-    """max_k |f(t_k)|."""
-    return float(np.max(np.abs(path.values)))
-
-
-def holder_norm(path: SamplePath, beta: float) -> float:
-    """Discrete beta-Holder seminorm, maximized over all grid pairs.
-
-    Cost is O(N^2); intended for N up to a few thousand.  Batched Monte
-    Carlo runs use the screened evaluation in ``mcverify`` instead, which
-    prunes by dyadic lag blocks and returns the ball counts, not the norm.
-    """
-    if not (0 < beta < 1):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    return float(holder_norm_batch(path.values[None, :], path.grid.delta, beta)[0])
-
-
 def holder_norm_batch(values: np.ndarray, delta: float, beta: float) -> np.ndarray:
     """Exact Holder seminorm for each row of a (paths, N+1) array."""
     values = np.asarray(values, dtype=float)
@@ -95,11 +53,6 @@ def holder_norm_batch(values: np.ndarray, delta: float, beta: float) -> np.ndarr
         dev = np.max(np.abs(values[:, lag:] - values[:, :-lag]), axis=1)
         np.maximum(best, dev / gap, out=best)
     return best
-
-
-def l1_norm(path: SamplePath) -> float:
-    """Left Riemann sum of |f|: delta * sum_{k<N} |f(t_k)|."""
-    return float(path.grid.delta * np.sum(np.abs(path.values[:-1])))
 
 
 def increment_lp(values, p: float):

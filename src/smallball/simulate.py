@@ -27,7 +27,6 @@ __all__ = [
     "ProcessSpec",
     "fgn_autocovariance",
     "fgn_increments_block",
-    "gaussian_increments_block",
     "iid_sums_block",
 ]
 
@@ -139,11 +138,6 @@ def fgn_increments_block(
         head.real = half * z[:, 2 : N + 1]
         np.multiply(z[:, N + 1 :], -half, out=head.imag)
     return scale * (m * np.fft.irfft(w, n=m, axis=1)[:, :N])
-
-
-def gaussian_increments_block(factor: np.ndarray, seed: SeedSpec, streams) -> np.ndarray:
-    """Increments with covariance factor @ factor.T, one row per stream."""
-    return _normals(seed, streams, factor.shape[0]) @ factor.T
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +291,8 @@ class ProcessSpec:
             raise ValueError(f"unknown process kind {self.kind!r}")
         if self.kind == "fbm":
             _check_hurst(self.H)
+        if self.kind == "bm" and self.H != 0.5:
+            raise ValueError(f"bm has Hurst index 0.5, got H={self.H}")
         if self.kind == "gaussian" and self.sigma2 is None:
             raise ValueError("gaussian kind requires a sigma2 callable")
 
@@ -310,55 +306,62 @@ class ProcessSpec:
         return base if self.drift.kind == "none" else f"{base}+{self.drift.kind}"
 
 
+def _cumsum0(a: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, with a zero in front."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    np.cumsum(a, axis=-1, out=out[..., 1:])
+    return out
+
+
 def _x_increments_block(spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams):
-    if spec.kind == "fbm":
+    if spec.kind in ("fbm", "bm"):
         return fgn_increments_block(spec.H, grid.N, grid.delta, seed, streams)
-    if spec.kind == "bm":
-        return fgn_increments_block(0.5, grid.N, grid.delta, seed, streams)
     from .gausscov import IncrementalVariance, increment_covariance
 
     cov = increment_covariance(IncrementalVariance(spec.sigma2), grid)
-    return gaussian_increments_block(cov.sampling_factor(), seed, streams)
+    return _normals(seed, streams, grid.N) @ cov.sampling_factor().T
 
 
 def x_values_block(
     spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams
 ) -> np.ndarray:
     """Values of the centered process x on the grid: (B, N+1)."""
-    inc = _x_increments_block(spec, grid, seed.with_purpose(PURPOSE_PROCESS), streams)
-    x = np.zeros((inc.shape[0], grid.N + 1))
-    np.cumsum(inc, axis=1, out=x[:, 1:])
-    return x
+    return _cumsum0(
+        _x_increments_block(spec, grid, seed.with_purpose(PURPOSE_PROCESS), streams)
+    )
+
+
+def _drift_integrand(
+    spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams, x=None
+) -> np.ndarray:
+    """The drift integrand a on the grid.
+
+    A deterministic drift gives one (N+1,) row shared by every stream;
+    ``shared_fbm`` gives x itself, simulated here when not passed in; an
+    independent fbm drift draws from the purpose-1 substream of each
+    stream id, so it cannot perturb the process draws.
+    """
+    drift = spec.drift
+    det = drift.deterministic_values(grid)
+    if det is not None:
+        return det
+    if drift.kind == "shared_fbm":
+        return x_values_block(spec, grid, seed, streams) if x is None else x
+    return _cumsum0(fgn_increments_block(
+        drift.H2, grid.N, grid.delta, seed.with_purpose(PURPOSE_DRIFT), streams
+    ))
 
 
 def compose_values_block(
     x: np.ndarray, spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams
 ) -> np.ndarray:
-    """y values from precomputed x values, y = x + int_0^t a ds.
-
-    Deterministic drifts are integrated once; random drifts draw from the
-    purpose-1 substream of the same stream id, so composition order cannot
-    perturb the process draws.
+    """y values from precomputed x values, y = x + int_0^t a ds, with the
+    integral a left Riemann sum (a deterministic drift is integrated once).
     """
-    drift = spec.drift
-    if drift.kind == "none":
+    if spec.drift.kind == "none":
         return x
-    det = drift.deterministic_values(grid)
-    delta = grid.delta
-    if det is not None:
-        integral = np.concatenate([[0.0], np.cumsum(det[:-1])]) * delta
-        return x + integral[None, :]
-    if drift.kind == "shared_fbm":
-        a_vals = x
-    else:  # independent fbm drift
-        a_inc = fgn_increments_block(
-            drift.H2, grid.N, delta, seed.with_purpose(PURPOSE_DRIFT), streams
-        )
-        a_vals = np.zeros_like(x)
-        np.cumsum(a_inc, axis=1, out=a_vals[:, 1:])
-    integral = np.zeros_like(x)
-    np.cumsum(a_vals[:, :-1], axis=1, out=integral[:, 1:])
-    return x + integral * delta
+    a = _drift_integrand(spec, grid, seed, streams, x)
+    return x + _cumsum0(a[..., :-1]) * grid.delta
 
 
 def path_values_block(
@@ -377,18 +380,7 @@ def drift_values_block(
     Uses the same substream layout as path_values_block, so the drift paths
     returned here are exactly the ones entering the composed process.
     """
-    drift = spec.drift
-    det = drift.deterministic_values(grid)
-    if det is not None:
-        return np.broadcast_to(det, (len(streams), grid.N + 1)).copy()
-    if drift.kind == "shared_fbm":
-        inc = _x_increments_block(
-            spec, grid, seed.with_purpose(PURPOSE_PROCESS), streams
-        )
-    else:
-        inc = fgn_increments_block(
-            drift.H2, grid.N, grid.delta, seed.with_purpose(PURPOSE_DRIFT), streams
-        )
-    a_vals = np.zeros((inc.shape[0], grid.N + 1))
-    np.cumsum(inc, axis=1, out=a_vals[:, 1:])
-    return a_vals
+    a = _drift_integrand(spec, grid, seed, streams)
+    if a.ndim == 1:
+        a = np.broadcast_to(a, (len(streams), grid.N + 1)).copy()
+    return a

@@ -127,6 +127,19 @@ class TestSimulate:
         assert code == 0
         assert "iid(rademacher)" in out.read_text()
 
+    def test_missing_out_is_reported_before_simulating(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def fail(*args):
+            raise AssertionError("simulated before checking --out")
+
+        monkeypatch.setattr("smallball.cli.path_values_block", fail)
+        cfg = {"process": {"kind": "fbm", "H": 0.3}, "N": 8192, "n_paths": 500}
+        code, _, err = run_cli(tmp_path, capsys, "simulate", cfg)
+        assert code == 2
+        assert parse_error(err) == {
+            "type": "config", "pointer": "/",
+            "message": "simulate requires --out for the CSV artifact"}
+
     @pytest.mark.parametrize("cfg", [
         {"process": {"kind": "fbm", "H": 0.3}, "N": 4, "n_paths": 2},
         {"dist": {"kind": "rademacher"}, "n": 4, "n_paths": 2},
@@ -527,6 +540,10 @@ class TestProducerErrors:
                                                "low": -1e308, "high": 1e308},
                    "n": 4, "epsilons": [0.1]}, "/",
          "(34, 'Numerical result out of range')"),
+        # bm is fbm at H = 1/2: another H would certify a different process
+        ("verify", {"process": {"kind": "bm", "H": 0.2}, "N": 2048,
+                    "n_paths": 2000}, "/process",
+         "bm has Hurst index 0.5, got H=0.2"),
     ], ids=["feasibility-beta", "estimate-N", "verify-N", "simulate-N",
             "simulate-n", "simulate-T", "simulate-dist", "simulate-T-1e308",
             "simulate-uniform-1e308", "rate-values",
@@ -535,7 +552,7 @@ class TestProducerErrors:
             "stationary-Delta-inf", "T-minus-inf", "H-nan", "T-1e999",
             "T-long-integer", "verify-epsilon-inf", "fbm_holder-T-1e308",
             "holder_indep-T-1e308", "stationary-T-1e308",
-            "iid_sum-uniform-1e308"])
+            "iid_sum-uniform-1e308", "verify-bm-H"])
     def test_config_error(self, command, config, pointer, message, tmp_path,
                           capsys):
         code, _, err = run_cli(tmp_path, capsys, command, config,

@@ -1,0 +1,58 @@
+"""Every library name that the README and the demos refer to exists.
+
+Static only: the demos are parsed, never run.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _imports(tree):
+    """(module, name) for each ``from smallball... import name``."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "smallball"
+        for alias in node.names
+    ]
+
+
+def _readme_refs():
+    text = README.read_text()
+    refs = re.findall(r"\b(smallball\.\w+)\.(\w+)", text)
+    for block in re.findall(r"^```python\n(.*?)^```", text, re.M | re.S):
+        refs += _imports(ast.parse(block))
+    return sorted(set(refs))
+
+
+def _demo_refs():
+    return sorted(
+        (path.name, module, name)
+        for path in DEMOS
+        for module, name in _imports(ast.parse(path.read_text()))
+    )
+
+
+def test_sources_are_found():
+    assert len(_readme_refs()) >= 10
+    assert {name for name, _, _ in _demo_refs()} == {p.name for p in DEMOS}
+
+
+@pytest.mark.parametrize("module,name", _readme_refs(),
+                         ids=lambda v: v)
+def test_readme_names_resolve(module, name):
+    assert hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("demo,module,name", _demo_refs(), ids=lambda v: v)
+def test_demo_imports_resolve(demo, module, name):
+    assert hasattr(importlib.import_module(module), name)

@@ -69,6 +69,24 @@ class TestIncrementCovariance:
         # symmetric matrix: the two-norm is at most the one-norm
         assert cov.two_norm() <= np.abs(dense).sum(axis=0).max() + 1e-12
 
+    def test_nonstationary_profile_builds_dense_matrix(self):
+        # sigma2 = |t^2 - s^2| is Brownian motion run at clock t^2: its
+        # increments are independent with variances t_i^2 - t_{i-1}^2
+        grid = UniformGrid(1.0, 8)
+        cov = increment_covariance(
+            IncrementalVariance(lambda s, t: np.abs(t**2 - s**2)), grid
+        )
+        assert cov.toeplitz is False
+        t = grid.times
+        np.testing.assert_array_equal(cov.gamma, np.diag(t[1:] ** 2 - t[:-1] ** 2))
+        assert cov.lambda_range() == (1 / 64, 15 / 64)
+
+    def test_nonstationary_indefinite_profile_rejected(self):
+        grid = UniformGrid(1.0, 8)
+        iv = IncrementalVariance(lambda s, t: (t - s) ** 2 * (1 + s))
+        with pytest.raises(ValueError, match="increment covariance indefinite"):
+            increment_covariance(iv, grid)
+
     def test_degenerate_profile_collapses_spectrum(self):
         grid = UniformGrid(1.0, 8)
         cov = increment_covariance(IncrementalVariance(lambda s, t: 0.0), grid)

@@ -15,6 +15,7 @@ from smallball.mcverify import (
     NormSpec,
     _holder_counts,
     bm_sup_exact,
+    config_digest,
     estimate_small_ball,
     estimate_small_ball_drifts,
     drift_norm_samples,
@@ -63,6 +64,9 @@ class TestNormSpec:
             NormSpec("l2")
         with pytest.raises(ValueError):
             NormSpec("holder")
+        for beta in (0.0, 1.0, -0.2):
+            with pytest.raises(ValueError):
+                NormSpec("holder", beta=beta)
         with pytest.raises(ValueError):
             NormSpec("sup", beta=0.3)
 
@@ -87,6 +91,21 @@ class TestEstimate:
         sups = np.max(np.abs(vals), axis=1)
         for e, row in zip(eps, table.rows):
             assert row.k == int(np.count_nonzero(sups <= e))
+
+    def test_gaussian_kind_digest_hashes_custom_profile(self):
+        spec = ProcessSpec(kind="gaussian", sigma2=lambda s, t: np.abs(t - s))
+        grid = UniformGrid(1.0, 8)
+        table = estimate_small_ball(spec, grid, [0.5], 1000, seed=2)
+        payload = {
+            "spec": {"kind": "gaussian", "H": 0.5, "method": "circulant",
+                     "drift": {"kind": "none", "level": 0.0, "amplitude": 1.0,
+                               "frequency": 1.0, "H2": 0.5},
+                     "sigma2": "custom"},
+            "T": 1.0, "N": 8, "epsilons": [0.5], "n_paths": 1000, "seed": 2,
+            "norm": {"kind": "sup", "beta": None}, "confidence": 0.99,
+        }
+        assert table.digest == config_digest(payload)
+        assert table.process == "gaussian"
 
     def test_worker_count_does_not_change_output(self):
         t1 = estimate_small_ball(BM, GRID, [0.5, 1.0], 2000, seed=5, workers=1)

@@ -1,28 +1,30 @@
-"""Grid, sample-path container, and discrete norm checks.
+"""Grid and discrete norm checks.
 
-Norm oracles here are brute-force loops over grid pairs, kept small so
-they stay readable; the library versions must agree exactly.
+The sup and L1 norms are the batched ones the Monte Carlo estimates
+count with (``mcverify._norms_block``); the Holder norm is the dense
+reference ``holder_norm_batch``.  Norm oracles here are brute-force
+loops over grid pairs, kept small so they stay readable; the library
+versions must agree exactly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallball.paths import (
-    SamplePath,
-    UniformGrid,
-    holder_norm,
-    holder_norm_batch,
-    increment_lp,
-    l1_norm,
-    sup_norm,
-)
+from smallball.bounds import Regime
+from smallball.mcverify import _norms_block
+from smallball.paths import UniformGrid, holder_norm_batch, increment_lp
 
 
-def _path(values, T=None):
-    values = np.asarray(values, dtype=float)
-    grid = UniformGrid(float(len(values) - 1 if T is None else T), len(values) - 1)
-    return SamplePath(grid=grid, values=values)
+def _norms(values, T=None, beta=0.5):
+    """(sup, l1, Holder(beta)) of one path on the grid of [0, T]."""
+    row = np.asarray(values, dtype=float)[None, :]
+    delta = float(row.shape[1] - 1 if T is None else T) / (row.shape[1] - 1)
+    return (
+        _norms_block(row, delta, Regime.sup())[0],
+        _norms_block(row, delta, Regime.l1())[0],
+        holder_norm_batch(row, delta, beta)[0],
+    )
 
 
 class TestUniformGrid:
@@ -38,56 +40,29 @@ class TestUniformGrid:
             UniformGrid(-1.0, 8)
 
 
-class TestSamplePath:
-    def test_length_must_match_grid(self):
-        with pytest.raises(ValueError):
-            SamplePath(grid=UniformGrid(1.0, 4), values=np.zeros(4))
-
-    def test_values_are_read_only(self):
-        p = _path([0.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            p.values[0] = 5.0
-
-
 class TestNorms:
     def test_sup_norm_hand_case(self):
-        assert sup_norm(_path([0.0, 1.0, -3.0, 0.5])) == 3.0
+        assert _norms([0.0, 1.0, -3.0, 0.5])[0] == 3.0
 
     def test_l1_norm_is_left_riemann_sum(self):
         # delta = 1, last point excluded: |0| + |1| + |-1| = 2
-        assert l1_norm(_path([0.0, 1.0, -1.0, 0.5])) == 2.0
+        assert _norms([0.0, 1.0, -1.0, 0.5])[1] == 2.0
         # halving delta halves the sum
-        assert l1_norm(_path([0.0, 1.0, -1.0, 0.5], T=1.5)) == 1.0
+        assert _norms([0.0, 1.0, -1.0, 0.5], T=1.5)[1] == 1.0
 
     def test_holder_norm_single_increment(self):
-        assert holder_norm(_path([0.0, 1.0]), 0.5) == 1.0
+        assert _norms([0.0, 1.0])[2] == 1.0
 
     def test_holder_norm_brute_force(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=17)
-        p = _path(values, T=0.8)
-        delta = p.grid.delta
+        delta = 0.8 / 16
         beta = 0.37
         best = 0.0
         for i in range(17):
             for j in range(i + 1, 17):
                 best = max(best, abs(values[j] - values[i]) / ((j - i) * delta) ** beta)
-        assert holder_norm(p, beta) == pytest.approx(best, rel=1e-14)
-
-    def test_holder_norm_batch_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        block = rng.normal(size=(5, 33))
-        grid = UniformGrid(2.0, 32)
-        batch = holder_norm_batch(block, grid.delta, 0.25)
-        for k in range(5):
-            single = holder_norm(SamplePath(grid=grid, values=block[k]), 0.25)
-            assert batch[k] == pytest.approx(single, rel=1e-14)
-
-    def test_holder_norm_rejects_bad_beta(self):
-        p = _path([0.0, 1.0])
-        for beta in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError):
-                holder_norm(p, beta)
+        assert _norms(values, T=0.8, beta=beta)[2] == pytest.approx(best, rel=1e-14)
 
     def test_increment_lp_hand_cases(self):
         # one path per row; the last path does not move
@@ -115,20 +90,16 @@ class TestNorms:
     st.floats(0.1, 10.0),
 )
 def test_norms_are_absolutely_homogeneous(values, beta, scale):
-    p = _path(values)
-    q = _path([scale * v for v in values])
-    assert sup_norm(q) == pytest.approx(scale * sup_norm(p), rel=1e-12, abs=1e-12)
-    assert l1_norm(q) == pytest.approx(scale * l1_norm(p), rel=1e-12, abs=1e-12)
-    assert holder_norm(q, beta) == pytest.approx(
-        scale * holder_norm(p, beta), rel=1e-12, abs=1e-12
-    )
+    p = _norms(values, beta=beta)
+    q = _norms([scale * v for v in values], beta=beta)
+    for norm_p, norm_q in zip(p, q):
+        assert norm_q == pytest.approx(scale * norm_p, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
 def test_holder_norm_dominates_endpoint_gap(values):
     # taking i=0, j=N in the max gives |f(T) - f(0)| / T^beta
-    p = _path(values)
-    T = p.grid.T
+    T = len(values) - 1
     lower = abs(values[-1] - values[0]) / T**0.5
-    assert holder_norm(p, 0.5) >= lower - 1e-12
+    assert _norms(values)[2] >= lower - 1e-12

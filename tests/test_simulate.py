@@ -198,6 +198,33 @@ class TestDrift:
             y, x + 0.5 * np.array([0.0, 0.0, r, r + 1.0, 2.0 * r + 1.0]), atol=1e-15
         )
 
+    @pytest.mark.parametrize("drift", [
+        DriftSpec(),
+        DriftSpec(kind="constant", level=-0.4),
+        DriftSpec(kind="bounded_wave", amplitude=0.7, frequency=2.0),
+        DriftSpec(kind="fbm", H2=0.6),
+        DriftSpec(kind="shared_fbm"),
+    ], ids=lambda d: d.kind)
+    def test_compose_integrates_drift_values(self, drift):
+        # one drift integrand serves both: y = x + left Riemann sum of a
+        spec = ProcessSpec(kind="fbm", H=0.3, drift=drift)
+        streams = [1, 4, 6]
+        x = x_values_block(spec, self.GRID, SeedSpec(9), streams)
+        a = drift_values_block(spec, self.GRID, SeedSpec(9), streams)
+        if drift.kind == "none":
+            np.testing.assert_array_equal(a, np.zeros_like(x))
+        integral = np.zeros_like(a)
+        np.cumsum(a[:, :-1], axis=1, out=integral[:, 1:])
+        np.testing.assert_array_equal(
+            compose_values_block(x, spec, self.GRID, SeedSpec(9), streams),
+            x + integral * self.GRID.delta,
+        )
+
+    def test_bm_rejects_other_hurst_index(self):
+        with pytest.raises(ValueError, match="bm has Hurst index 0.5"):
+            ProcessSpec(kind="bm", H=0.2)
+        assert ProcessSpec(kind="bm", H=0.5) == ProcessSpec(kind="bm")
+
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):
             DriftSpec(kind="quadratic")
