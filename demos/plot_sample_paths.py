@@ -51,7 +51,7 @@ try:
         ax.plot(grid.times, values, lw=0.8, label=label)
     ax.set_xlabel("t")
     ax.set_ylabel("y(t)")
-    ax.set_title("Sample paths from one Philox seed")
+    ax.set_title("Sample paths from one SFC64 seed (stream layout v2)")
     ax.legend(frameon=False, fontsize=8)
     fig.tight_layout()
     fig.savefig("sample_paths.png", dpi=120)

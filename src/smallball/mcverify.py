@@ -63,7 +63,9 @@ NormSpec = Regime
 def _norms_block(values: np.ndarray, delta: float, norm: Regime) -> np.ndarray:
     """Sup or l1 norm of each row; Holder balls are counted by _holder_counts."""
     if norm.kind == "sup":
-        return np.abs(values).max(axis=1)
+        # max |v| without a (B, N+1) abs temporary; + 0.0 turns the -0.0
+        # that np.maximum gives on an all-zero row into the 0.0 of abs
+        return np.maximum(values.max(axis=1), -values.min(axis=1)) + 0.0
     return delta * np.abs(values[:, :-1]).sum(axis=1)
 
 
@@ -196,7 +198,7 @@ class EstimateTable:
 
     def to_csv_text(self) -> str:
         lines = [
-            "# small-ball estimates v1",
+            "# small-ball estimates v2",
             f"# process={self.process}",
             f"# norm={self.norm}",
             f"# T={self.T!r}",

@@ -3,9 +3,14 @@
 Fractional Gaussian noise is sampled by circulant embedding in
 O(N log N), exact in distribution: the minimal embedding is nonnegative
 definite for every H in (0, 1) (Craigmile, J. Time Ser. Anal. 24, 2003).
-Every path is a deterministic function of (seed, purpose, stream), via a
-counter-based Philox generator keyed by a SeedSequence, so Monte Carlo
-results do not depend on how work is split across workers.
+Every path is a deterministic function of (seed, purpose, stream), via an
+SFC64 generator keyed by a SeedSequence, so Monte Carlo results do not
+depend on how work is split across workers.
+
+Stream layout v2: each path's generator writes its normals straight into
+the array the sampler transforms (for fGn, the interleaved real and
+imaginary slots of the path's half-spectrum), and one in-place multiply
+turns them into the spectral or increment values.
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ PURPOSE_DRIFT = 1
 class SeedSpec:
     """Addressable randomness: (seed, purpose, stream) -> generator.
 
-    Distinct tuples give statistically independent Philox streams; equal
-    tuples reproduce draws bit for bit regardless of worker scheduling.
+    Distinct tuples give statistically independent SFC64 streams, seeded
+    by ``SeedSequence(seed, spawn_key=(purpose, stream))``; equal tuples
+    reproduce draws bit for bit regardless of worker scheduling.
+    ``generator`` is the one place that builds a generator.
     """
 
     seed: int
@@ -60,7 +67,7 @@ class SeedSpec:
         ss = np.random.SeedSequence(
             entropy=int(self.seed), spawn_key=(int(self.purpose), int(self.stream))
         )
-        return np.random.Generator(np.random.Philox(seed=ss))
+        return np.random.Generator(np.random.SFC64(ss))
 
 
 def fgn_autocovariance(H: float, lags) -> np.ndarray:
@@ -97,12 +104,42 @@ def _embedding_eigenvalues(H: float, N: int) -> np.ndarray:
     return lam
 
 
-def _normals(seed: SeedSpec, streams, n: int) -> np.ndarray:
-    """Standard normals, (len(streams), n); row b depends only on streams[b]."""
-    z = np.empty((len(streams), n))
-    for b, s in enumerate(streams):
-        z[b] = seed.with_stream(s).generator().standard_normal(n)
-    return z
+def _normals_into(seed: SeedSpec, streams, out: np.ndarray) -> np.ndarray:
+    """Fill row b of the float array ``out`` with standard normals drawn
+    from stream ``streams[b]`` alone, so a row does not depend on its block.
+    """
+    for row, s in zip(out, streams):
+        seed.with_stream(s).generator().standard_normal(out=row)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _spectral_coefficients(H: float, N: int) -> np.ndarray:
+    """Per-slot multipliers taking the 2N+2 interleaved draws
+    (Re_0, Im_0, .., Re_N, Im_N) of one path to its half-spectrum.
+
+    With m = 2N, slot pair k holds m * sqrt(lambda_k / 2m) for 0 < k < N;
+    k = 0 and k = N are real (m * sqrt(lambda_k / m) on Re, exactly 0 on
+    Im), so irfft of the product is m times the length-m FFT of the
+    hermitian vector, the circulant-embedding sample at unit mesh.
+    """
+    lam = _embedding_eigenvalues(H, N)
+    m = 2 * N
+    c = np.repeat(m * np.sqrt(lam[: N + 1] / (2.0 * m)), 2)
+    c[[0, 2 * N]] = m * np.sqrt(lam[[0, N]] / m)
+    c[[1, 2 * N + 1]] = 0.0
+    c.setflags(write=False)
+    return c
+
+
+def _fgn_from_draws(H: float, N: int, delta: float, draws: np.ndarray) -> np.ndarray:
+    """Map (B, 2N+2) interleaved spectral draws to (B, N) fGn increments.
+
+    ``draws`` is overwritten with the half-spectrum; the result is a view
+    into the (B, 2N) irfft output.
+    """
+    draws *= delta**H * _spectral_coefficients(H, N)
+    return np.fft.irfft(draws.view(complex), n=2 * N, axis=1)[:, :N]
 
 
 def fgn_increments_block(
@@ -112,32 +149,22 @@ def fgn_increments_block(
 
     Returns a (len(streams), N) array with Cov(Y_i, Y_j) =
     delta^{2H} * rho_H(|i-j|).  Row b depends only on
-    (seed.seed, seed.purpose, streams[b]).
+    (seed.seed, seed.purpose, streams[b]).  For H != 1/2 the array is a
+    view into a (len(streams), 2N) transform buffer.
     """
     _check_hurst(H)
     if N < 1:
         raise ValueError("N must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    scale = delta**H
     if H == 0.5:
         # embedding eigenvalues are identically 1: increments are iid
-        return scale * _normals(seed, streams, N)
-    lam = _embedding_eigenvalues(H, N)
-    m = 2 * N
-    # fixed draw layout per path: [xi_0, xi_N, xi_1..xi_{N-1}, eta_1..eta_{N-1}]
-    z = _normals(seed, streams, m)
-    # the hermitian spectral vector has a real FFT; feeding the conjugate
-    # half-spectrum to irfft computes it with half the transform work
-    w = np.empty((z.shape[0], N + 1), dtype=complex)
-    w[:, 0] = np.sqrt(lam[0] / m) * z[:, 0]
-    w[:, N] = np.sqrt(lam[N] / m) * z[:, 1]
-    if N > 1:
-        half = np.sqrt(lam[1:N] / (2.0 * m))
-        head = w[:, 1:N]
-        head.real = half * z[:, 2 : N + 1]
-        np.multiply(z[:, N + 1 :], -half, out=head.imag)
-    return scale * (m * np.fft.irfft(w, n=m, axis=1)[:, :N])
+        z = _normals_into(seed, streams, np.empty((len(streams), N)))
+        z *= delta**H
+        return z
+    # each path draws its half-spectrum in place, as (Re_k, Im_k), k = 0..N
+    w = np.empty((len(streams), N + 1), dtype=complex)
+    return _fgn_from_draws(H, N, delta, _normals_into(seed, streams, w.view(float)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +346,8 @@ def _x_increments_block(spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, st
     from .gausscov import IncrementalVariance, increment_covariance
 
     cov = increment_covariance(IncrementalVariance(spec.sigma2), grid)
-    return _normals(seed, streams, grid.N) @ cov.sampling_factor().T
+    z = _normals_into(seed, streams, np.empty((len(streams), grid.N)))
+    return z @ cov.sampling_factor().T
 
 
 def x_values_block(

@@ -274,7 +274,7 @@ class TestEstimateAndRate:
         assert code == 0
         assert stdout == ""  # the CSV artifact is the whole output
         text = out.read_text()
-        assert text.startswith("# small-ball estimates v1")
+        assert text.startswith("# small-ball estimates v2")
         assert "# digest=" in text
         rows = [r for r in text.strip().split("\n") if not r.startswith("#")]
         reader = csv.DictReader(io.StringIO("\n".join(rows)))

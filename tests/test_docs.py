@@ -56,3 +56,12 @@ def test_readme_names_resolve(module, name):
 @pytest.mark.parametrize("demo,module,name", _demo_refs(), ids=lambda v: v)
 def test_demo_imports_resolve(demo, module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_readme_names_the_estimate_header():
+    from smallball.mcverify import EstimateTable
+
+    table = EstimateTable("bm", "sup", 1.0, 1, 0, 1, 0.99, "0", ())
+    header = table.to_csv_text().split("\n")[0]
+    assert header.startswith("# small-ball estimates v")
+    assert f"`{header}`" in README.read_text()

@@ -129,7 +129,7 @@ class TestEstimate:
     def test_csv_layout(self):
         table = estimate_small_ball(BM, GRID, [0.5], 1000, seed=1)
         lines = table.to_csv_text().strip().split("\n")
-        assert lines[0] == "# small-ball estimates v1"
+        assert lines[0] == "# small-ball estimates v2"
         assert any(line.startswith("# digest=") for line in lines)
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "epsilon,n_paths,k,p_hat,cp_lower,cp_upper,confidence"

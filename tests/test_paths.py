@@ -44,6 +44,19 @@ class TestNorms:
     def test_sup_norm_hand_case(self):
         assert _norms([0.0, 1.0, -3.0, 0.5])[0] == 3.0
 
+    def test_sup_norm_matches_abs_max_bit_for_bit(self):
+        # all-zero rows of either sign, mixed signed zeros, one-sided and
+        # random rows: the same bytes as np.abs(v).max(1), signbit included
+        rng = np.random.default_rng(5)
+        block = np.vstack([
+            np.zeros((1, 9)), np.full((1, 9), -0.0),
+            np.array([[0.0, -0.0] * 4 + [0.0]]), -np.arange(9.0)[None, :],
+            np.arange(9.0)[None, :], rng.normal(size=(4, 9)),
+        ])
+        sup = _norms_block(block, 0.5, Regime.sup())
+        assert sup.tobytes() == np.abs(block).max(axis=1).tobytes()
+        assert not np.signbit(sup).any()
+
     def test_l1_norm_is_left_riemann_sum(self):
         # delta = 1, last point excluded: |0| + |1| + |-1| = 2
         assert _norms([0.0, 1.0, -1.0, 0.5])[1] == 2.0

@@ -22,6 +22,7 @@ from smallball.simulate import (
     path_values_block,
     x_values_block,
 )
+from smallball.simulate import _fgn_from_draws
 
 RHO1_H03 = (2.0**0.6 - 2.0) / 2.0  # rho_{0.3}(1), closed form
 
@@ -70,6 +71,29 @@ class TestSeeding:
             for j in range(i + 1, len(draws)):
                 assert not np.array_equal(draws[i], draws[j])
 
+    def test_stream_layout_v2_is_pinned(self):
+        # first values under SFC64 with draws written straight into the
+        # half-spectrum (H != 1/2) or the increment row (H = 1/2, iid sums);
+        # any change to the stream layout moves every one of them
+        np.testing.assert_allclose(
+            fgn_increments_block(0.3, 8, 0.5, SeedSpec(5), [0, 3])[:, :3],
+            [[-0.11725589643012763, -0.016744694950928396, 0.5035567684075145],
+             [0.6904647557530104, 0.6071412795159989, -0.06666274212997389]],
+            rtol=1e-13,
+        )
+        np.testing.assert_allclose(
+            fgn_increments_block(0.5, 8, 0.25, SeedSpec(5), [0, 3])[:, :3],
+            [[-0.20308490919881306, -0.2513533454734751, 0.3290276697766773],
+             [-0.5667885973387664, -0.4186587844370472, 1.1862772438843596]],
+            rtol=1e-13,
+        )
+        np.testing.assert_allclose(
+            iid_sums_block(DistSpec.uniform(-1, 1), 8, SeedSpec(5), [0, 3])[:, :3],
+            [[0.0, -0.9558073626888581, -1.100207851454382],
+             [0.0, -0.051520729693659284, -0.6633538769328424]],
+            rtol=1e-13,
+        )
+
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             SeedSpec(-1)
@@ -86,6 +110,23 @@ class TestFgnDistribution:
         ))
         scale = delta ** (2 * H)
         assert np.max(np.abs(emp - target)) < 0.06 * scale
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+    def test_draws_to_increments_map_has_exact_covariance(self, H, N):
+        # pushing the identity through the linear map from the 2N+2 draws
+        # of one path to its N increments gives the map's rows A[j] = image
+        # of draw j; Cov(Y) = A^T A must be the fGn covariance exactly
+        delta = 0.37
+        A = _fgn_from_draws(H, N, delta, np.eye(2 * N + 2))
+        target = delta ** (2 * H) * fgn_autocovariance(H, np.abs(
+            np.arange(N)[:, None] - np.arange(N)[None, :]
+        ))
+        np.testing.assert_allclose(A.T @ A, target, rtol=0,
+                                   atol=1e-12 * delta ** (2 * H))
+        # the imaginary draws of k = 0 (slot 1) and k = N (slot 2N+1)
+        # do not reach the increments
+        assert not A[[1, 2 * N + 1]].any()
 
     def test_h_half_is_iid_gaussian(self):
         inc = fgn_increments_block(0.5, 4096, 0.25, SeedSpec(3), [0])[0]
