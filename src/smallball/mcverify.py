@@ -65,75 +65,138 @@ def _norms_block(values: np.ndarray, delta: float, norm: Regime) -> np.ndarray:
     if norm.kind == "sup":
         # max |v| without a (B, N+1) abs temporary; + 0.0 turns the -0.0
         # that np.maximum gives on an all-zero row into the 0.0 of abs
-        return np.maximum(values.max(axis=1), -values.min(axis=1)) + 0.0
+        return _abs_max(values) + 0.0
     return delta * np.abs(values[:, :-1]).sum(axis=1)
 
 
 def _holder_counts(values, delta, beta, epsilons):
     """Exact indicator counts for the Holder ball over sorted radii.
 
-    Each row keeps a running maximum over lags of the term
+    Each row keeps a running maximum over (start, lag) pairs of the term
     |v[t+lag] - v[t]| / (lag*delta)**beta, computed with the expression of
     ``paths.holder_norm_batch``, and is dropped once it exceeds
     max(epsilons).  Lags 1-15 are scanned on every live row; the rest come
-    in dyadic blocks [2^j, 2^(j+1)), j >= 4.  Before block j, sliding max
-    and min tables over windows of 2^(j+1) points (extended by doubling)
-    give the row's largest window range r_j, and r_j / (2^j*delta)**beta
-    bounds every term of the block.  A row scans the block only while
-    that bound times (1 + 1e-12) exceeds the smallest radius at or above
-    its running value.
+    in dyadic blocks [lo, hi), lo = 2^j >= 16, hi = min(2*lo, N+1).
+    Before a block, sliding max and min tables over lo points (extended by
+    doubling) give, for each start t <= N - lo, the max M and min m of
+    v over the window [t+lo, t+2*lo), clipped at the path end to the last
+    table column, a window that still holds every v[t+lag] of the block.
+    So b(t) = max(M - v[t], v[t] - m) / (lo*delta)**beta bounds every term
+    of start t in the block.  The row's threshold is the smallest radius
+    at or above its running value, read once at block start.  Only the
+    (row, start) pairs with b(t) above the threshold, less a relative
+    slack of 1e-12, are evaluated exactly; the test is made in difference
+    units, max(M - v[t], v[t] - m) > threshold * (lo*delta)**beta *
+    (1 - 1e-12), one product per row.  The exact pass gathers
+    v[t+lo : t+hi] of each such pair, in pieces of at most 2^16 terms,
+    masks the lags past N and raises the running value to the pair's
+    maximum.
 
-    The counts equal those of full norms.  The running value only grows,
-    and a skipped term lies at or below the smallest radius at or above
-    the running value, so the running value and the full norm fall between
-    the same two radii.  The bound holds in floating point: subtraction is
-    monotone, so |fl(a - b)| <= fl(max - min) for a, b inside a window,
-    and the slack covers ``pow``, which is not correctly rounded.
+    The counts equal those of full norms.  Every skipped term lies at or
+    below b(t), hence at or below the threshold read at block start.  The
+    running value only grows, so that threshold stays at or below the
+    smallest radius at or above the running value, and the running value
+    and the full norm fall between the same two radii.  The bound holds in
+    floating point: subtraction is monotone, so |fl(a - b)| <= fl(M - b)
+    or fl(b - m) for a inside the window, and the slack covers the
+    rounding of the threshold product and of ``pow``, which is not
+    correctly rounded.  Each lag's scale is the Python float
+    (lag*delta)**beta, as in the dense norm; numpy's array power is not
+    bit-identical to it.
     """
     eps = np.asarray(epsilons, dtype=float)
     above = np.append(eps, np.inf)  # smallest radius >= value; inf once out
     n = values.shape[1] - 1
     running = np.zeros(values.shape[0])
-    act = np.arange(values.shape[0])
-    v = values
 
-    def scan(rows, sub, lags, bound):
-        for lag in lags:
-            dev = np.abs(sub[:, lag:] - sub[:, :-lag]).max(axis=1)
-            dev /= (lag * delta) ** beta
-            cur = np.maximum(running[rows], dev)
-            running[rows] = cur
-            keep = bound > above[np.searchsorted(eps, cur)]
-            if not keep.all():
-                rows, sub, bound = rows[keep], sub[keep], bound[keep]
-                if rows.size == 0:
-                    return
-
-    # a doubling step and the bound cost each row about as much as one
-    # lag, so short blocks cannot repay them; rows that leave within 15
-    # lags never pay for the range tables
-    scan(act, v, range(1, min(n, 15) + 1), np.full(act.size, np.inf))
-    live = running[act] <= eps[-1]
-    act, v = act[live], v[live]
-    hi_max, lo_min, width = v, v, 1
-    lo = 16
-    while lo <= n and act.size:
-        hi = min(2 * lo, n + 1)  # block lags lo..hi-1 span at most hi points
-        while width < hi:
-            step = min(width, hi - width)
-            hi_max = np.maximum(hi_max[:, :-step], hi_max[:, step:])
-            lo_min = np.minimum(lo_min[:, :-step], lo_min[:, step:])
-            width += step
-        bound = (hi_max - lo_min).max(axis=1) / (lo * delta) ** beta
-        bound *= 1.0 + 1e-12
-        pos = np.flatnonzero(bound > above[np.searchsorted(eps, running[act])])
-        scan(act[pos], v[pos], range(lo, hi), bound[pos])
-        live = running[act] <= eps[-1]
-        if not live.all():
-            act, v = act[live], v[live]
-            hi_max, lo_min = hi_max[live], lo_min[live]
-        lo *= 2
+    # lags 1-15 one at a time: rows that leave within 15 lags never pay
+    # for the range tables
+    act, sub = np.arange(values.shape[0]), values
+    for lag in range(1, min(n, 15) + 1):
+        dev = _abs_max(sub[:, lag:] - sub[:, :-lag]) / (lag * delta) ** beta
+        cur = np.maximum(running[act], dev)
+        running[act] = cur
+        keep = cur <= eps[-1]
+        if not keep.all():
+            act, sub = act[keep], sub[keep]
+            if act.size == 0:
+                break
+    if n >= 16 and act.size:
+        # gathered windows run up to hi - lo - 1 <= N // 2 points past the
+        # path end; those lags are masked, so the padding is immaterial
+        v = np.zeros((act.size, n + 1 + n // 2))
+        v[:, : n + 1] = sub
+        del sub
+        hi_max = lo_min = v[:, : n + 1]
+        width, lo = 1, 16
+        while lo <= n and act.size:
+            hi = min(2 * lo, n + 1)
+            while width < lo:
+                step = min(width, lo - width)
+                hi_max = np.maximum(hi_max[:, :-step], hi_max[:, step:])
+                lo_min = np.minimum(lo_min[:, :-step], lo_min[:, step:])
+                width += step
+            thr = above[np.searchsorted(eps, running[act])]
+            cut = thr * ((lo * delta) ** beta * (1.0 - 1e-12))
+            rows, starts = _block_starts(v[:, : n + 1 - lo], hi_max, lo_min, lo, cut)
+            if rows.size:
+                scale = np.array([(lag * delta) ** beta for lag in range(lo, hi)])
+                maxima = _pair_maxima(v, rows, starts, lo, scale, n)
+                np.maximum.at(running, act[rows], maxima)
+            live = running[act] <= eps[-1]
+            if not live.all():
+                # one array at a time, so at most one old copy is alive
+                act = act[live]
+                v = v[live]
+                hi_max = hi_max[live]
+                lo_min = lo_min[live]
+            lo *= 2
     return np.array([(running <= e).sum() for e in eps], dtype=np.int64)
+
+
+def _abs_max(x):
+    """max |x| of each row, without an abs temporary."""
+    return np.maximum(x.max(axis=1), -x.min(axis=1))
+
+
+def _block_starts(vt, hi_max, lo_min, lo, cut):
+    """(row, start) pairs of block [lo, hi) whose start bound exceeds cut.
+
+    Start t reads column t + lo of the width-lo tables, clipped to the last
+    column; ``vt`` holds v at the starts 0..N-lo.
+    """
+    inside = max(0, hi_max.shape[1] - lo)  # starts whose column is not clipped
+    cut = cut[:, None]
+    gap = np.empty_like(vt)
+    np.subtract(hi_max[:, lo:], vt[:, :inside], out=gap[:, :inside])
+    np.subtract(hi_max[:, -1:], vt[:, inside:], out=gap[:, inside:])
+    hit = gap > cut
+    np.subtract(vt[:, :inside], lo_min[:, lo:], out=gap[:, :inside])
+    np.subtract(vt[:, inside:], lo_min[:, -1:], out=gap[:, inside:])
+    hit |= gap > cut
+    return np.nonzero(hit)
+
+
+def _pair_maxima(v, rows, starts, lo, scale, n):
+    """max of |v[t+lag] - v[t]| / scale over the lags lo.. of each pair.
+
+    ``scale`` holds one entry per lag of the block; the rows of ``v`` are
+    padded past N, and lags past N are masked out.
+    """
+    w = scale.size
+    win = np.lib.stride_tricks.sliding_window_view(v, w, axis=1)
+    out = np.empty(rows.size)
+    size = max(1, 2 ** 16 // w)  # terms gathered per piece
+    for k in range(0, rows.size, size):
+        r, t = rows[k:k + size], starts[k:k + size]
+        terms = win[r, t + lo]
+        terms -= v[r, t][:, None]
+        np.abs(terms, out=terms)
+        terms /= scale
+        if t.max() > n - lo - w + 1:  # some window runs past N
+            terms[np.arange(w) > (n - lo - t)[:, None]] = 0.0
+        out[k:k + size] = terms.max(axis=1)
+    return out
 
 
 def _counts_block(values, delta, norm: Regime, epsilons) -> np.ndarray:

@@ -146,15 +146,18 @@ class TestEstimate:
         for e, row in zip(eps, table.rows):
             assert row.k == int(np.count_nonzero(norms <= e))
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 16, 20, 40, 64, 1000])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 16, 20, 40, 64, 1000,
+                                   1023, 1025, 2047, 2048])
     @pytest.mark.parametrize("H,beta", [(0.3, 0.1), (0.4, 0.2), (0.5, 0.4),
                                         (0.7, 0.5)])
     def test_pruned_holder_counts_match_dense_norms(self, H, beta, N):
-        # N not a power of two leaves a partial last lag block, and for
-        # small N the range window is wider than the path
+        # N not a power of two leaves a partial last lag block, for small N
+        # the range window is wider than the path, and near the path end the
+        # windows of the top blocks are clipped to the last table column
         grid = UniformGrid(1.0, N)
+        rows = 12 if N > 1000 else 48 if N > 64 else 256
         vals = path_values_block(ProcessSpec(kind="fbm", H=H), grid,
-                                 SeedSpec(N), np.arange(48 if N > 64 else 256))
+                                 SeedSpec(N), np.arange(rows))
         norms = holder_norm_batch(vals, grid.delta, beta)
         lag1 = np.abs(np.diff(vals, axis=1)).max(axis=1) / grid.delta ** beta
         radius_sets = [
@@ -189,6 +192,41 @@ class TestEstimate:
         ]:
             eps = np.asarray(radii)
             assert _holder_counts(path, grid.delta, 0.5, eps).tolist() == counts
+
+    @pytest.mark.parametrize("N,beta", [(64, 0.1), (256, 0.1), (1025, 0.05),
+                                        (2048, 0.05)])
+    def test_pruned_holder_counts_at_a_planted_pair(self, N, beta):
+        # a zero path with a dip -a at t0 and a peak +a at t0 + L: the pair
+        # (t0, t0 + L) reads 2a / (L delta)^beta, every other term at most
+        # a / delta^beta, which is smaller while L^beta < 2, and every other
+        # start of L's lag block bounds at a / (lo delta)^beta, below the
+        # norm.  Pairs start at the path start, in the middle, and end at
+        # the path end, where the top block windows are clipped.  a is the
+        # first height at which radius * (L delta)^beta, for the radius one
+        # ulp below the norm, rounds up to the pair's difference 2a (none
+        # does when the scale is a power of two).
+        grid = UniformGrid(1.0, N)
+        if N <= 256:
+            lags = range(16, N + 1)
+        else:
+            lags = sorted({x for lo in (16, 64, 512, 1024) if lo <= N
+                           for x in (lo, lo + 1, min(2 * lo, N + 1) - 1)})
+        for L in lags:
+            scale = (L * grid.delta) ** beta
+            a = next((1.0 + k / 4096 for k in range(4096)
+                      if 2.0 + k / 2048
+                      <= np.nextafter((2.0 + k / 2048) / scale, 0.0) * scale),
+                     1.0)
+            for t0 in sorted({0, (N - L) // 2, N - L}):
+                path = np.zeros((1, N + 1))
+                path[0, t0], path[0, t0 + L] = -a, a
+                norm = holder_norm_batch(path, grid.delta, beta)[0]
+                assert norm == 2 * a / scale
+                below = np.nextafter(norm, 0.0)
+                for radii, counts in [([norm], [1]), ([below], [0]),
+                                      ([below, norm], [0, 1])]:
+                    got = _holder_counts(path, grid.delta, beta, np.array(radii))
+                    assert got.tolist() == counts, (L, t0, radii)
 
     def test_l1_norm_counts(self):
         eps = [0.2, 0.5]
