@@ -5,7 +5,9 @@ O(N log N), exact in distribution: the minimal embedding is nonnegative
 definite for every H in (0, 1) (Craigmile, J. Time Ser. Anal. 24, 2003).
 Every path is a deterministic function of (seed, purpose, stream), via an
 SFC64 generator keyed by a SeedSequence, so Monte Carlo results do not
-depend on how work is split across workers.
+depend on how work is split across workers.  Block samplers derive the
+SFC64 states of all their streams in one numpy pass (``_sfc64_states``)
+and draw every row from one reused generator.
 
 Stream layout v2: each path's generator writes its normals straight into
 the array the sampler transforms (for fGn, the interleaved real and
@@ -46,7 +48,9 @@ class SeedSpec:
     Distinct tuples give statistically independent SFC64 streams, seeded
     by ``SeedSequence(seed, spawn_key=(purpose, stream))``; equal tuples
     reproduce draws bit for bit regardless of worker scheduling.
-    ``generator`` is the one place that builds a generator.
+    ``generator`` is the scalar reference definition of a stream; the
+    block samplers reach the same states in bulk through
+    ``_sfc64_states``.
     """
 
     seed: int
@@ -57,9 +61,6 @@ class SeedSpec:
         if self.seed < 0 or self.stream < 0 or self.purpose < 0:
             raise ValueError("seed, stream and purpose must be non-negative")
 
-    def with_stream(self, stream: int) -> "SeedSpec":
-        return SeedSpec(self.seed, int(stream), self.purpose)
-
     def with_purpose(self, purpose: int) -> "SeedSpec":
         return SeedSpec(self.seed, self.stream, int(purpose))
 
@@ -68,6 +69,115 @@ class SeedSpec:
             entropy=int(self.seed), spawn_key=(int(self.purpose), int(self.stream))
         )
         return np.random.Generator(np.random.SFC64(ss))
+
+
+# numpy's SeedSequence constants (O'Neill's seed_seq design)
+_M32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(n: int) -> list:
+    """Little-endian 32-bit words of n >= 0, as SeedSequence splits it."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value, h, mult=_MULT_A):
+    """SeedSequence's hashmix of a word (int or uint32 array) under the
+    hash constant h; returns the hashed word and the next constant."""
+    h_next = (h * mult) & _M32
+    value = ((value ^ h) * h_next) & _M32
+    return value ^ (value >> 16), h_next
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _absorb(pool, word, h):
+    """Mix one entropy word into every pool word; returns the next constant."""
+    for i in range(_POOL):
+        hashed, h = _hashmix(word, h)
+        pool[i] = _mix(pool[i], hashed)
+    return h
+
+
+def _sfc64_states(seed: int, purpose: int, streams) -> np.ndarray:
+    """(B, 4) uint64 states of ``SFC64(SeedSequence(seed, spawn_key=(purpose,
+    s)))`` for each stream id s in ``streams``, bit for bit.
+
+    The seed and purpose words enter the pool once, in plain Python; the
+    stream words (one below 2^32, two below 2^64, selected per row by a
+    mask) are mixed in uint32 arithmetic across the block, followed by
+    ``generate_state(3, uint64)`` and SFC64's 12 seeding rounds in uint64.
+    """
+    ids = streams
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        # exact Python ints: numpy would round a list holding 2^63.. to float
+        ids = np.array([int(s) for s in ids], dtype=object)
+    ids = ids.reshape(-1)
+    if ids.size and (ids.min() < 0 or ids.max() >= 2**64):
+        raise ValueError(
+            f"stream ids must lie in [0, 2**64), got {ids.min()}..{ids.max()}"
+        )
+    ids = ids.astype(np.uint64)
+    # the seed is padded to the pool size before the spawn key is appended
+    entropy = _words32(int(seed))
+    entropy += [0] * (_POOL - len(entropy)) + _words32(int(purpose))
+    h = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        hashed, h = _hashmix(word, h)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[_POOL:]:
+        h = _absorb(pool, word, h)
+    pool = [np.full(ids.size, word, dtype=np.uint32) for word in pool]
+    h = _absorb(pool, (ids & _M32).astype(np.uint32), h)
+    high = (ids >> 32).astype(np.uint32)
+    longer = list(pool)
+    _absorb(longer, high, h)
+    two_words = high != 0
+    pool = [np.where(two_words, b, a) for a, b in zip(pool, longer)]
+    # generate_state(3, uint64): six words cycled from the pool
+    h = _INIT_B
+    words = []
+    for i in range(6):
+        word, h = _hashmix(pool[i % _POOL], h, _MULT_B)
+        words.append(word.astype(np.uint64))
+    s0, s1, s2 = (words[2 * j] | (words[2 * j + 1] << 32) for j in range(3))
+    # SFC64 seeding: 12 rounds from counter 1
+    for counter in range(1, 13):
+        tmp = s0 + s1 + np.uint64(counter)
+        s0 = s1 ^ (s1 >> 11)
+        s1 = s2 + (s2 << 3)
+        s2 = ((s2 << 24) | (s2 >> 40)) + tmp
+    return np.stack([s0, s1, s2, np.full(ids.size, 13, dtype=np.uint64)], axis=1)
+
+
+def _stream_generators(seed: SeedSpec, streams):
+    """Yield, per stream id s, one reused Generator set to that stream's
+    state, so it draws what ``SeedSpec(seed.seed, s, seed.purpose)
+    .generator()`` would.  Each row's draws must be taken before the next
+    row is requested.
+    """
+    bitgen = np.random.SFC64(0)
+    rng = np.random.Generator(bitgen)
+    for state in _sfc64_states(seed.seed, seed.purpose, streams):
+        bitgen.state = {"bit_generator": "SFC64", "state": {"state": state},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def fgn_autocovariance(H: float, lags) -> np.ndarray:
@@ -108,8 +218,8 @@ def _normals_into(seed: SeedSpec, streams, out: np.ndarray) -> np.ndarray:
     """Fill row b of the float array ``out`` with standard normals drawn
     from stream ``streams[b]`` alone, so a row does not depend on its block.
     """
-    for row, s in zip(out, streams):
-        seed.with_stream(s).generator().standard_normal(out=row)
+    for row, rng in zip(out, _stream_generators(seed, streams)):
+        rng.standard_normal(out=row)
     return out
 
 
@@ -252,9 +362,8 @@ def iid_sums_block(dist: DistSpec, n: int, seed: SeedSpec, streams) -> np.ndarra
     if n < 1:
         raise ValueError("n must be >= 1")
     out = np.zeros((len(streams), n + 1))
-    for b, s in enumerate(np.asarray(streams, dtype=np.int64)):
-        z = dist.sample(seed.with_stream(s).generator(), n)
-        np.cumsum(z, out=out[b, 1:])
+    for row, rng in zip(out, _stream_generators(seed, streams)):
+        np.cumsum(dist.sample(rng, n), out=row[1:])
     return out
 
 

@@ -22,7 +22,8 @@ from smallball.simulate import (
     path_values_block,
     x_values_block,
 )
-from smallball.simulate import _fgn_from_draws
+from smallball.gausscov import IncrementalVariance, increment_covariance
+from smallball.simulate import _cumsum0, _fgn_from_draws, _sfc64_states
 
 RHO1_H03 = (2.0**0.6 - 2.0) / 2.0  # rho_{0.3}(1), closed form
 
@@ -97,6 +98,77 @@ class TestSeeding:
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             SeedSpec(-1)
+
+
+def _reference_rows(seed, streams, draw):
+    """Row b drawn by ``draw`` from the scalar generator of streams[b]."""
+    return np.array([
+        draw(SeedSpec(seed.seed, s, seed.purpose).generator()) for s in streams
+    ])
+
+
+class TestBlockStates:
+    """The block samplers' bulk SFC64 states against numpy's own seeding."""
+
+    STREAMS = list(range(300)) + [2**32 - 1, 2**32, 2**63 - 1]
+    # one-word and two-word stream ids interleaved in one block
+    MIXED = [0, 2**32 + 1, 5, 2**63 - 1, 7]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 3, 2**40 + 11, 2**130 + 7])
+    @pytest.mark.parametrize("purpose", [0, 1])
+    def test_states_match_seed_sequence(self, seed, purpose):
+        expected = [
+            np.random.SFC64(
+                np.random.SeedSequence(seed, spawn_key=(purpose, s))
+            ).state["state"]["state"]
+            for s in self.STREAMS
+        ]
+        np.testing.assert_array_equal(_sfc64_states(seed, purpose, self.STREAMS), expected)
+        np.testing.assert_array_equal(
+            _sfc64_states(seed, purpose, np.array(self.STREAMS, dtype=np.uint64)), expected
+        )
+
+    @pytest.mark.parametrize("H", [0.3, 0.5])
+    def test_fgn_rows_match_scalar_generators(self, H):
+        N, delta, seed = 16, 0.5, SeedSpec(7, purpose=1)
+        block = fgn_increments_block(H, N, delta, seed, self.MIXED)
+        if H == 0.5:
+            expected = _reference_rows(seed, self.MIXED, lambda g: g.standard_normal(N))
+            expected *= delta**H
+        else:
+            draws = _reference_rows(seed, self.MIXED, lambda g: g.standard_normal(2 * N + 2))
+            expected = _fgn_from_draws(H, N, delta, draws)
+        np.testing.assert_array_equal(block, expected)
+
+    def test_gaussian_kind_rows_match_scalar_generators(self):
+        grid = UniformGrid(1.0, 16)
+        sigma2 = lambda s, t: abs(t - s) ** 0.8
+        spec = ProcessSpec(kind="gaussian", sigma2=sigma2)
+        block = x_values_block(spec, grid, SeedSpec(4), self.MIXED)
+        z = _reference_rows(SeedSpec(4), self.MIXED, lambda g: g.standard_normal(grid.N))
+        factor = increment_covariance(IncrementalVariance(sigma2), grid).sampling_factor()
+        np.testing.assert_array_equal(block, _cumsum0(z @ factor.T))
+
+    @pytest.mark.parametrize("dist", [
+        DistSpec.uniform(-1.0, 2.0),
+        DistSpec.rademacher(),
+        DistSpec.scaled_beta(2.0, 3.0, -1.0, 1.0),
+    ], ids=lambda d: d.kind)
+    def test_iid_sums_match_scalar_generators(self, dist):
+        # an odd step count leaves a buffered 32-bit rademacher draw behind
+        # each row, which the next row's state must discard
+        n, seed = 7, SeedSpec(3)
+        block = iid_sums_block(dist, n, seed, self.MIXED)
+        steps = _reference_rows(seed, self.MIXED, lambda g: dist.sample(g, n))
+        np.testing.assert_array_equal(block[:, 1:], np.cumsum(steps, axis=1))
+        assert not block[:, 0].any()
+
+    @pytest.mark.parametrize("streams", [[-1], [0, 2**64], np.array([3, -2])])
+    def test_stream_ids_outside_the_limit_are_rejected(self, streams):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            fgn_increments_block(0.3, 8, 0.5, SeedSpec(0), streams)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            iid_sums_block(DistSpec.rademacher(), 4, SeedSpec(0), streams)
 
 
 class TestFgnDistribution:
