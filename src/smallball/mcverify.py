@@ -14,7 +14,8 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .simulate import (
     SeedSpec,
     compose_values_block,
     drift_values_block,
-    path_values_block,
+    path_values_block,  # noqa: F401  unused; bench/test_bench.py reads this binding
     x_values_block,
 )
 
@@ -206,19 +207,23 @@ def _counts_block(values, delta, norm: Regime, epsilons) -> np.ndarray:
     return np.array([(norms <= e).sum() for e in epsilons], dtype=np.int64)
 
 
-def _chunk_ranges(n_paths: int):
-    return [(s, min(CHUNK, n_paths - s)) for s in range(0, n_paths, CHUNK)]
+def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
+    """[job(streams)] over the CHUNK-sized blocks of stream ids 0..n_paths-1.
+
+    The one place paths are split into chunks.  Results come back in chunk
+    order; workers > 1 maps over a process pool, so job must pickle.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    blocks = (np.arange(s, min(s + CHUNK, n_paths)) for s in range(0, n_paths, CHUNK))
+    if workers <= 1:
+        return [job(streams) for streams in blocks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, blocks, chunksize=1))
 
 
-def _count_job(args):
-    spec, grid, seed, start, size, norm, epsilons = args
-    values = path_values_block(spec, grid, seed, np.arange(start, start + size))
-    return _counts_block(values, grid.delta, norm, epsilons)
-
-
-def _multi_count_job(args):
-    specs, grid, seed, start, size, norm, epsilons = args
-    streams = np.arange(start, start + size)
+def _chunk_counts(specs, grid, seed, norm, epsilons, streams):
+    """Ball counts of one chunk, one row per spec; x is simulated once."""
     x = x_values_block(specs[0], grid, seed, streams)
     return np.stack([
         _counts_block(
@@ -227,13 +232,6 @@ def _multi_count_job(args):
         )
         for spec in specs
     ])
-
-
-def _run_jobs(job, tasks, workers: int):
-    if workers <= 1:
-        return [job(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, tasks, chunksize=1))
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,7 @@ def config_digest(payload: dict) -> str:
 
 def _check_estimate_args(epsilons, n_paths) -> np.ndarray:
     eps = np.asarray(sorted(float(e) for e in epsilons))
-    if eps.size == 0 or eps[0] <= 0:
+    if eps.size == 0 or not (eps > 0).all():  # NaN too: the counts need sorted radii
         raise ValueError("epsilons must be positive")
     if n_paths < 1000:
         raise ValueError("n_paths must be >= 1000 for a meaningful estimate")
@@ -354,14 +352,8 @@ def estimate_small_ball(
     upper confidence limits.  All epsilons are evaluated on the same paths,
     so p_hat is nondecreasing in epsilon.
     """
-    eps = _check_estimate_args(epsilons, n_paths)
-    seed_spec = SeedSpec(seed)
-    tasks = [
-        (spec, grid, seed_spec, start, size, norm, eps)
-        for start, size in _chunk_ranges(n_paths)
-    ]
-    counts = sum(_run_jobs(_count_job, tasks, workers))
-    return _build_table(spec, grid, eps, n_paths, seed, norm, confidence, counts)
+    return _estimate_tables(spec, [spec.drift], grid, epsilons, n_paths, seed,
+                            norm, confidence, workers)[0]
 
 
 def estimate_small_ball_drifts(
@@ -383,18 +375,20 @@ def estimate_small_ball_drifts(
     estimate_small_ball calls with the same seed (the composition and the
     per-path substreams do not depend on how many variants are evaluated).
     """
-    from dataclasses import replace
+    return _estimate_tables(spec, drifts, grid, epsilons, n_paths, seed,
+                            norm, confidence, workers)
 
+
+def _estimate_tables(spec, drifts, grid, epsilons, n_paths, seed, norm,
+                     confidence, workers):
+    # the body of both estimate functions; neither calls the other, so a
+    # tracer that wraps them sees one span per estimate
     eps = _check_estimate_args(epsilons, n_paths)
     specs = tuple(replace(spec, drift=d) for d in drifts)
     if not specs:
         raise ValueError("at least one drift variant is required")
-    seed_spec = SeedSpec(seed)
-    tasks = [
-        (specs, grid, seed_spec, start, size, norm, eps)
-        for start, size in _chunk_ranges(n_paths)
-    ]
-    counts = sum(_run_jobs(_multi_count_job, tasks, workers))
+    job = partial(_chunk_counts, specs, grid, SeedSpec(seed), norm, eps)
+    counts = sum(_chunk_map(job, n_paths, workers))
     return [
         _build_table(s, grid, eps, n_paths, seed, norm, confidence, row)
         for s, row in zip(specs, counts)
@@ -416,11 +410,9 @@ def partition_norm_samples(
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     seed_spec = SeedSpec(seed)
-    out = []
-    for start, size in _chunk_ranges(n_paths):
-        values = x_values_block(spec, grid, seed_spec, np.arange(start, start + size))
-        out.append(increment_lp(values, p))
-    return np.concatenate(out)
+    return np.concatenate(_chunk_map(
+        lambda streams: increment_lp(x_values_block(spec, grid, seed_spec, streams), p),
+        n_paths))
 
 
 def drift_norm_samples(
@@ -433,11 +425,10 @@ def drift_norm_samples(
     """Draws of the drift norm entering the split (sup of |a|, or its l1)."""
     drift_norm = Regime.l1() if norm.kind == "l1" else Regime.sup()
     seed_spec = SeedSpec(seed)
-    out = []
-    for start, size in _chunk_ranges(n_paths):
-        a_vals = drift_values_block(spec, grid, seed_spec, np.arange(start, start + size))
-        out.append(_norms_block(a_vals, grid.delta, drift_norm))
-    return np.concatenate(out)
+    return np.concatenate(_chunk_map(
+        lambda streams: _norms_block(
+            drift_values_block(spec, grid, seed_spec, streams), grid.delta, drift_norm),
+        n_paths))
 
 
 def bm_sup_exact(epsilon: float, T: float = 1.0) -> float:

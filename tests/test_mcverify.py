@@ -77,6 +77,9 @@ class TestEstimate:
             estimate_small_ball(BM, GRID, [0.5], 100, seed=1)
         with pytest.raises(ValueError):
             estimate_small_ball(BM, GRID, [-0.5], 2000, seed=1)
+        # a NaN radius would leave the grid unsorted and skew every count
+        with pytest.raises(ValueError, match="epsilons must be positive"):
+            estimate_small_ball(BM, GRID, [1.5, float("nan"), 1.0], 2000, seed=1)
 
     def test_shared_sample_counts_are_monotone(self):
         table = estimate_small_ball(BM, GRID, [0.3, 0.6, 1.0, 2.0], 2000, seed=1)
@@ -311,6 +314,13 @@ class TestNormSamples:
         s = drift_norm_samples(wave, GRID, NormSpec("sup"), 300, seed=4)
         grid_max = 2.0 * np.max(np.abs(np.sin(2 * np.pi * GRID.times)))
         np.testing.assert_allclose(s, grid_max, atol=1e-12)
+
+    @pytest.mark.parametrize("n_paths", [0, -5])
+    def test_need_at_least_one_path(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            partition_norm_samples(BM, GRID, 2.0, n_paths, seed=4)
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            drift_norm_samples(BM, GRID, NormSpec("sup"), n_paths, seed=4)
 
     def test_l1_event_controls_l1_of_drift(self):
         # left Riemann sum of a constant is exact: integral of |2| over [0,1]
