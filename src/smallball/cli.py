@@ -605,6 +605,11 @@ def _cmd_verify(cfg, args):
         if _EPS_KEYS & bound_cfg.keys():
             raise ConfigError("/bound/epsilons",
                               "epsilons are taken from the top level")
+        # a certificate on another horizon bounds another event
+        bound_T = _get(bound_cfg, "T", float, "/bound", default=1.0)
+        if bound_T != grid.T:
+            raise ConfigError("/bound/T", f"T = {bound_T!r} differs from the "
+                              f"simulated horizon T = {grid.T!r}")
     bound_cfg["epsilons"] = eps
     if "kind" not in bound_cfg or bound_cfg.get("kind") == "gaussian_class":
         # snap certificate partitions onto the simulation grid so the

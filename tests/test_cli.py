@@ -544,6 +544,13 @@ class TestProducerErrors:
         ("verify", {"process": {"kind": "bm", "H": 0.2}, "N": 2048,
                     "n_paths": 2000}, "/process",
          "bm has Hurst index 0.5, got H=0.2"),
+        # a certificate on [0, 4] says nothing about paths on [0, 1]
+        ("verify", {"process": {"kind": "bm"}, "bound": {
+            "process": {"kind": "bm"}, "T": 4}, "N": 1024, "n_paths": 1000},
+         "/bound/T", "T = 4.0 differs from the simulated horizon T = 1.0"),
+        ("verify", {"process": {"kind": "bm"}, "T": 2.0, "bound": {
+            "process": {"kind": "bm"}}, "N": 1024, "n_paths": 1000},
+         "/bound/T", "T = 1.0 differs from the simulated horizon T = 2.0"),
     ], ids=["feasibility-beta", "estimate-N", "verify-N", "simulate-N",
             "simulate-n", "simulate-T", "simulate-dist", "simulate-T-1e308",
             "simulate-uniform-1e308", "rate-values",
@@ -552,7 +559,8 @@ class TestProducerErrors:
             "stationary-Delta-inf", "T-minus-inf", "H-nan", "T-1e999",
             "T-long-integer", "verify-epsilon-inf", "fbm_holder-T-1e308",
             "holder_indep-T-1e308", "stationary-T-1e308",
-            "iid_sum-uniform-1e308", "verify-bm-H"])
+            "iid_sum-uniform-1e308", "verify-bm-H", "verify-bound-T",
+            "verify-bound-T-default"])
     def test_config_error(self, command, config, pointer, message, tmp_path,
                           capsys):
         code, _, err = run_cli(tmp_path, capsys, command, config,

@@ -31,6 +31,67 @@ from smallball.paths import UniformGrid
 from smallball.simulate import fgn_autocovariance
 
 
+def _plain_bisection(row, which):
+    """The enclosure by plain inertia bisection: the circulant and Rayleigh
+    bracket, the two upward probes, then one count per midpoint."""
+    sign = 1.0 if which == "max" else -1.0
+    row = sign * np.asarray(row, dtype=float)
+    n = row.shape[0]
+    k = np.arange(n)
+    weighted = np.where(k == 0, 1.0, 2.0) * row
+    circ = np.fft.rfft(weighted, 2 * n).real
+    v = np.sin(np.pi * (k + 1) / (n + 1)) * np.cos(np.pi * int(np.argmax(circ)) / n * k)
+    lags = np.fft.irfft(np.abs(np.fft.rfft(v, 2 * n)) ** 2, 2 * n)[:n]
+    scale = float(np.max(np.abs(circ)))
+    pad = 64.0 * float(np.finfo(float).eps) * scale
+    upper = float(np.max(circ)) + pad
+    lower = min(float(weighted @ lags / lags[0]), upper) - 2.0 * pad
+    tol = 1e-13 * scale
+    for probe in (lower + 2.0**10 * tol, lower + 2.0**20 * tol):
+        if probe >= upper:
+            break
+        below, mu, _ = gausscov._count_below(row, probe)
+        if below == n:
+            upper = mu
+            break
+        lower = mu
+    while upper - lower > tol:
+        below, mid, _ = gausscov._count_below(row, 0.5 * (lower + upper))
+        if below == n:
+            upper = mid
+        else:
+            lower = mid
+    return (lower, upper) if sign > 0 else (-upper, -lower)
+
+
+def _counting(monkeypatch):
+    """Shifts of the inertia passes that the enclosure makes from now on."""
+    calls = []
+
+    def counted(row, mu):
+        out = _count_below(row, mu)
+        calls.append(out[1])
+        return out
+
+    monkeypatch.setattr(gausscov, "_count_below", counted)
+    return calls
+
+
+def _shared_passes(monkeypatch):
+    """Give the enclosure and its plain-bisection reference one table of
+    inertia passes, each a pure function of the row and the shift, so that
+    comparing them costs little more than the reference alone."""
+    table = {}
+
+    def shared(row, mu):
+        key = (row.tobytes(), mu)
+        if key not in table:
+            table[key] = _count_below(row, mu)
+        return table[key]
+
+    monkeypatch.setattr(gausscov, "_count_below", shared)
+
+
 def _dense_gamma(H, grid):
     lags = np.abs(np.arange(grid.N)[:, None] - np.arange(grid.N)[None, :])
     return grid.delta ** (2 * H) * fgn_autocovariance(H, lags)
@@ -123,12 +184,12 @@ class TestToeplitzEigEnclosure:
     def test_zero_pivot_nudges_the_shift(self):
         # mu = 1 makes the 2x2 matrix T - mu I singular (last pivot 0); its
         # eigenvalues are 1 and 3, so none lies below the nudged shift
-        count, mu = _count_below(np.array([2.0, 1.0]), 1.0)
-        assert count == 0 and 0.0 < 1.0 - mu <= 1e-15
+        count, mu, pivot = _count_below(np.array([2.0, 1.0]), 1.0)
+        assert count == 0 and 0.0 < 1.0 - mu <= 1e-15 and pivot > 0.0
         # mu = row[0] zeroes the first pivot; the count still matches
         for row in ([2.0, 1.0], fgn_autocovariance(0.3, np.arange(64))):
             row = np.asarray(row)
-            count, mu = _count_below(row, row[0])
+            count, mu, _ = _count_below(row, row[0])
             assert mu < row[0]
             assert count == np.sum(np.linalg.eigvalsh(toeplitz(row)) < row[0])
 
@@ -141,28 +202,80 @@ class TestToeplitzEigEnclosure:
         with pytest.raises(ValueError):
             toeplitz_eig_enclosure([1.0, 0.5], "middle")
 
-    # inertia passes per enclosure: the Rayleigh end is tight at the top of
-    # the H < 1/2 spectrum, so the upward probes skip most of the bisection;
-    # where it is loose they cost two passes over plain bisection, written
-    # as its pass count + 2
-    @pytest.mark.parametrize("H,which,N,passes", [
-        (0.3, "max", 2048, 12), (0.3, "max", 1024, 12), (0.3, "max", 256, 23),
-        (0.45, "max", 2048, 11), (0.45, "max", 1024, 11),
-        (0.3, "min", 1024, 38 + 2), (0.3, "min", 2048, 37 + 2),
-        (0.45, "min", 1024, 39 + 2), (0.45, "min", 2048, 39 + 2),
-        (0.7, "max", 1024, 42 + 2), (0.7, "max", 2048, 42 + 2),
-    ])
-    def test_inertia_passes(self, H, which, N, passes, monkeypatch):
-        calls = []
+    def test_last_pivot_is_determinant_ratio(self):
+        row = fgn_autocovariance(0.3, np.arange(12))
+        T = toeplitz(row)
+        for mu in (0.3, 1.1, 1.5):
+            _, used, pivot = _count_below(row, mu)
+            ratio = (np.linalg.det(T - mu * np.eye(12))
+                     / np.linalg.det(T[:-1, :-1] - mu * np.eye(11)))
+            assert used == mu and pivot == pytest.approx(ratio, rel=1e-9)
 
-        def counted(row, mu):
-            calls.append(mu)
-            return _count_below(row, mu)
+    # the jump must land on the plain bisection's bracket exactly
+    @pytest.mark.parametrize("H", [0.05, 0.1, 0.2, 0.3, 0.45, 0.5, 0.6, 0.75, 0.9])
+    def test_equals_plain_bisection(self, H, monkeypatch):
+        _shared_passes(monkeypatch)
+        for N in [*range(2, 40), 64, 127, 256]:
+            row = fgn_autocovariance(H, np.arange(N))
+            for which in ("max", "min"):
+                reference = _plain_bisection(row, which)
+                assert toeplitz_eig_enclosure(row, which) == reference
 
-        monkeypatch.setattr(gausscov, "_count_below", counted)
+    @pytest.mark.parametrize("N", [1024, 2048])
+    def test_equals_plain_bisection_large(self, N, monkeypatch):
+        _shared_passes(monkeypatch)
+        row = fgn_autocovariance(0.3, np.arange(N))
+        reference = _plain_bisection(row, "max")
+        assert toeplitz_eig_enclosure(row) == reference
+
+    @pytest.mark.parametrize("miss", [-3.0, 3.0])
+    def test_wrong_estimate_falls_back_to_bisection(self, miss, monkeypatch):
+        row = fgn_autocovariance(0.3, np.arange(256))
+        reference = _plain_bisection(row, "max")
+        tol = 1e-13 * 2 * np.abs(row).sum()  # above 1e-13 of the spectral scale
+        estimate = gausscov._pivot_root
+        monkeypatch.setattr(gausscov, "_pivot_root",
+                            lambda *args: estimate(*args) + miss * tol)
+        calls = _counting(monkeypatch)
+        assert toeplitz_eig_enclosure(row) == reference
+        assert len(calls) > 10  # the two replay ends failed; bisection went on
+
+    def test_zero_pivot_at_replay_end_falls_back(self, monkeypatch):
+        row = fgn_autocovariance(0.3, np.arange(256))
+        lo, hi = toeplitz_eig_enclosure(row)
+        nudged = float(np.nextafter(lo, -np.inf))
+
+        def singular_at_lo(row, mu):
+            # T - lo I meets a zero pivot, as [2.0, 1.0] does at mu = 1,
+            # and the count steps the shift an ulp down
+            return _count_below(row, nudged if mu == lo else mu)
+
+        monkeypatch.setattr(gausscov, "_count_below", singular_at_lo)
+        reference = _plain_bisection(row, "max")
+        assert reference[0] == nudged
+        # the replay's lower end lo is confirmed by a nudged count, so the
+        # jump must not return it: bisection goes on to the reference
+        assert toeplitz_eig_enclosure(row) == reference
+
+    # inertia passes per enclosure, as (H, end, N, at most what plain
+    # bisection takes, at most what the enclosure takes); the first four
+    # name the row.  At a near end (the top of the H < 1/2 spectrum) the
+    # jump follows the probes at once; at a far end it follows bisection
+    # down to 2^24 tolerances.
+    @pytest.mark.parametrize("H,which,N,plain,passes", [
+        pytest.param(*row, id="-".join(map(str, row[:4]))) for row in [
+            (0.3, "max", 2048, 12, 6), (0.3, "max", 1024, 12, 6),
+            (0.3, "max", 256, 23, 6),
+            (0.45, "max", 2048, 11, 6), (0.45, "max", 1024, 11, 6),
+            (0.3, "min", 1024, 40, 20), (0.3, "min", 2048, 39, 19),
+            (0.45, "min", 1024, 41, 21), (0.45, "min", 2048, 41, 21),
+            (0.7, "max", 1024, 44, 24), (0.7, "max", 2048, 44, 24),
+        ]])
+    def test_inertia_passes(self, H, which, N, plain, passes, monkeypatch):
+        calls = _counting(monkeypatch)
         row = fgn_autocovariance(H, np.arange(N))
         lo, hi = toeplitz_eig_enclosure(row, which)
-        assert len(calls) <= passes
+        assert len(calls) <= passes < plain
         assert 0.0 <= hi - lo <= 1e-13 * 2 * np.abs(row).sum()
 
 
