@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Subcommands: simulate, bound, estimate, rate, verify, toeplitz,
-feasibility.  Every subcommand reads a JSON config (--config), validated
-strictly: duplicate keys are rejected at parse time, unknown keys are
-rejected with a JSON-pointer path, and type errors point at the offending
-entry.  --seed/--paths/--out/--workers override the config.  Failures
-print a machine-readable JSON object on stderr and exit 2; `verify` exits
-1 when any non-vacuous certificate is contradicted by the simulation.
+feasibility.  Each takes --config (the JSON config) and --out (the
+artifact path); simulate, estimate and verify also take --seed and
+--paths, which replace the config's `seed` and `n_paths`, and estimate and
+verify take --workers.  Configs are validated strictly: duplicate keys are
+rejected at parse time, unknown keys are rejected with a JSON-pointer
+path, and type errors point at the offending entry.  Failures, a bad
+command line included, print one JSON object {"error": {"type", "message"
+[, "pointer"]}} on stderr and exit 2; `verify` exits 1 when any
+non-vacuous certificate is contradicted by the simulation.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .concentration import drift_borell_model, drift_bounded_model
 from .gausscov import fgn_symbol, increment_covariance, sigma2_fbm, symbol_sup
 from .mcverify import config_digest, estimate_small_ball
 from .paths import UniformGrid
-from .simulate import DistSpec, DriftSpec, ProcessSpec, SeedSpec, path_values_block
+from .simulate import (DistSpec, DriftSpec, ProcessSpec, SeedSpec,
+                       iid_sums_block, path_values_block)
 
 __all__ = ["main"]
 
@@ -387,7 +391,14 @@ def _certificates(cfg, pointer):
 # subcommand implementations
 
 
-def _emit(payload: dict, out: str | None):
+def _emit(payload: dict, out: str | None, csv: str | None = None):
+    """JSON to --out or stdout; given a CSV artifact, the CSV goes to --out
+    and the JSON, naming it, to stdout."""
+    if csv is not None:
+        if out:
+            _mc.write_text_artifact(out, csv)
+            payload["csv"] = out
+        out = None
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         _mc.write_text_artifact(out, text)
@@ -396,11 +407,12 @@ def _emit(payload: dict, out: str | None):
 
 
 def _effective_config(cfg, args) -> dict:
-    """Config after CLI overrides; its digest stamps every artifact."""
+    """Config after the --seed/--paths flags; every command reads it and
+    its digest stamps every artifact."""
     eff = dict(cfg)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         eff["seed"] = args.seed
-    if args.paths is not None:
+    if getattr(args, "paths", None) is not None:
         eff["n_paths"] = args.paths
     return eff
 
@@ -409,39 +421,32 @@ def _cmd_simulate(cfg, args):
     _check_keys(cfg, {"process", "dist", "n", "T", "N", "n_paths", "seed"}, "")
     if not args.out:
         raise ConfigError("/", "simulate requires --out for the CSV artifact")
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, "", default=0)
-    n_paths = args.paths if args.paths is not None else _get(
-        cfg, "n_paths", int, "", default=1)
+    seed = _get(cfg, "seed", int, "", default=0)
+    n_paths = _get(cfg, "n_paths", int, "", default=1)
     if n_paths < 1:
         raise ConfigError("/n_paths", "must be >= 1")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if "dist" in cfg:
-                from .simulate import iid_sums_block
-
-                dist = _parse_dist(_get(cfg, "dist", dict, ""), "/dist")
-                n = _get(cfg, "n", int, "", required=True)
-                values = iid_sums_block(dist, n, SeedSpec(seed), np.arange(n_paths))
-                times = np.arange(n + 1, dtype=float)
-                label = f"iid({dist.kind})"
-            else:
-                proc_obj = _get(cfg, "process", dict, "", required=True)
-                spec = _parse_process(proc_obj, "/process")
-                grid = UniformGrid(
-                    _get(cfg, "T", float, "", default=1.0),
-                    _get(cfg, "N", int, "", required=True),
-                )
-                values = path_values_block(spec, grid, SeedSpec(seed),
-                                           np.arange(n_paths))
-                times = grid.times
-                label = spec.label()
-    except (ValueError, OverflowError) as exc:
-        # a producer rejected a value the schema lets through
-        raise ConfigError("/", str(exc)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "dist" in cfg:
+            dist = _parse_dist(_get(cfg, "dist", dict, ""), "/dist")
+            n = _get(cfg, "n", int, "", required=True)
+            values = iid_sums_block(dist, n, SeedSpec(seed), np.arange(n_paths))
+            times = np.arange(n + 1, dtype=float)
+            label = f"iid({dist.kind})"
+        else:
+            proc_obj = _get(cfg, "process", dict, "", required=True)
+            spec = _parse_process(proc_obj, "/process")
+            grid = UniformGrid(
+                _get(cfg, "T", float, "", default=1.0),
+                _get(cfg, "N", int, "", required=True),
+            )
+            values = path_values_block(spec, grid, SeedSpec(seed),
+                                       np.arange(n_paths))
+            times = grid.times
+            label = spec.label()
     if not np.isfinite(values).all():
         # finite inputs whose paths overflow, e.g. a huge horizon T
         raise ConfigError("/", "simulated values are not finite")
-    digest = config_digest(_effective_config(cfg, args))
+    digest = config_digest(cfg)
     lines = [f"# simulated paths: {label}", f"# seed={seed}",
              f"# config_digest={digest}",
              "t," + ",".join(f"path_{b}" for b in range(n_paths))]
@@ -456,34 +461,27 @@ def _cmd_bound(cfg, args):
     certs = certificates_from_config(cfg)
     payload = {
         "kind": cfg.get("kind", "gaussian_class"),
-        "config_digest": config_digest(_effective_config(cfg, args)),
+        "config_digest": config_digest(cfg),
         "certificates": [c.to_dict() for c in certs],
     }
     _emit(payload, args.out)
     return 0
 
 
-def _estimate_from_config(cfg, args, pointer=""):
-    spec = _parse_process(_get(cfg, "process", dict, pointer, required=True),
-                          f"{pointer}/process")
-    T = _get(cfg, "T", float, pointer, default=1.0)
-    N = _get(cfg, "N", int, pointer, required=True)
-    epsilons = _get_epsilons(cfg, pointer)
-    seed = args.seed if args.seed is not None else _get(
-        cfg, "seed", int, pointer, default=0)
-    n_paths = args.paths if args.paths is not None else _get(
-        cfg, "n_paths", int, pointer, required=True)
-    norm = _parse_norm(_get(cfg, "norm", dict, pointer, default=None),
-                       f"{pointer}/norm")
-    confidence = _get(cfg, "confidence", float, pointer, default=0.99)
-    workers = args.workers if args.workers is not None else 1
-    try:
-        return estimate_small_ball(
-            spec, UniformGrid(T, N), epsilons, n_paths, seed, norm=norm,
-            confidence=confidence, workers=workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(pointer or "/", str(exc)) from exc
+def _estimate_from_config(cfg, workers):
+    spec = _parse_process(_get(cfg, "process", dict, "", required=True),
+                          "/process")
+    T = _get(cfg, "T", float, "", default=1.0)
+    N = _get(cfg, "N", int, "", required=True)
+    epsilons = _get_epsilons(cfg, "")
+    seed = _get(cfg, "seed", int, "", default=0)
+    n_paths = _get(cfg, "n_paths", int, "", required=True)
+    norm = _parse_norm(_get(cfg, "norm", dict, "", default=None), "/norm")
+    confidence = _get(cfg, "confidence", float, "", default=0.99)
+    return estimate_small_ball(
+        spec, UniformGrid(T, N), epsilons, n_paths, seed, norm=norm,
+        confidence=confidence, workers=workers,
+    )
 
 
 _ESTIMATE_KEYS = {"process", "T", "N", "epsilon", "epsilons", "n_paths", "seed",
@@ -494,7 +492,7 @@ def _cmd_estimate(cfg, args):
     _check_keys(cfg, _ESTIMATE_KEYS, "")
     if not args.out:
         raise ConfigError("/", "estimate requires --out for the CSV artifact")
-    table = _estimate_from_config(cfg, args)
+    table = _estimate_from_config(cfg, args.workers)
     _mc.write_text_artifact(args.out, table.to_csv_text())
     return 0
 
@@ -562,7 +560,7 @@ def _cmd_rate(cfg, args):
         "n_used": fit.n_used, "mode": fit.mode, "c1": fit.c1,
         "value_window": None if window is None
         else [float(window[0]), float(window[1])],
-        "config_digest": config_digest(_effective_config(cfg, args)),
+        "config_digest": config_digest(cfg),
     }, args.out)
     return 0
 
@@ -579,19 +577,14 @@ def _cmd_verify(cfg, args):
     the simulation grid so they nest.
     """
     _check_keys(cfg, _ESTIMATE_KEYS | {"bound"}, "")
-    cfg = dict(cfg)
     eps = _get_epsilons(cfg, "", required=False, default=_DEFAULT_EPSILONS)
     cfg.pop("epsilon", None)
     cfg["epsilons"] = eps
     norm = _parse_norm(_get(cfg, "norm", dict, "", default=None), "/norm")
     cfg.setdefault("N", 2048 if norm.kind == "holder" else 8192)
-    if args.paths is None:
-        cfg.setdefault("n_paths", 10_000)
-    try:
-        grid = UniformGrid(_get(cfg, "T", float, "", default=1.0),
-                           _get(cfg, "N", int, "", required=True))
-    except ValueError as exc:
-        raise ConfigError("/", str(exc)) from exc
+    cfg.setdefault("n_paths", 10_000)
+    grid = UniformGrid(_get(cfg, "T", float, "", default=1.0),
+                       _get(cfg, "N", int, "", required=True))
 
     bound_cfg = _get(cfg, "bound", dict, "", default=None)
     bound_pointer = "/bound"
@@ -618,15 +611,12 @@ def _cmd_verify(cfg, args):
     certs = certificates_from_config(bound_cfg, bound_pointer)
 
     est_cfg = {k: v for k, v in cfg.items() if k != "bound"}
-    table = _estimate_from_config(est_cfg, args)
+    table = _estimate_from_config(est_cfg, args.workers)
     report = _mc.verify_certificates(table, certs)
     payload = report.to_dict()
     payload["digest"] = table.digest
-    payload["config_digest"] = config_digest(_effective_config(cfg, args))
-    if args.out:
-        _mc.write_text_artifact(args.out, report.to_csv_text())
-        payload["csv"] = args.out
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload["config_digest"] = config_digest(cfg)
+    _emit(payload, args.out, report.to_csv_text())
     return 0 if report.ok else 1
 
 
@@ -652,17 +642,11 @@ def _cmd_toeplitz(cfg, args):
                      "symbol_sup": sup_out})
     payload = {
         "H": H, "symbol_sup": sup_out, "rows": rows,
-        "config_digest": config_digest(_effective_config(cfg, args)),
+        "config_digest": config_digest(cfg),
     }
-    if args.out:
-        lines = ["N,lambda_max,symbol_sup"]
-        for r in rows:
-            sup_txt = r["symbol_sup"] if isinstance(r["symbol_sup"], str) \
-                else repr(r["symbol_sup"])
-            lines.append(f"{r['N']},{r['lambda_max']!r},{sup_txt}")
-        _mc.write_text_artifact(args.out, "\n".join(lines) + "\n")
-        payload["csv"] = args.out
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sup_txt = sup_out if sup.infinite else repr(sup_out)
+    csv = "".join(f"{r['N']},{r['lambda_max']!r},{sup_txt}\n" for r in rows)
+    _emit(payload, args.out, "N,lambda_max,symbol_sup\n" + csv)
     return 0
 
 
@@ -671,13 +655,8 @@ def _cmd_feasibility(cfg, args):
     H = _check_H(_get(cfg, "H", float, "", required=True), "")
     beta = _get(cfg, "beta", float, "", required=True)
     theta = _get(cfg, "theta", float, "", required=True)
-    try:
-        wit = _bounds.representation_feasibility(H, beta, theta)
-    except ValueError as exc:
-        # a producer rejected a value the schema lets through
-        raise ConfigError("/", str(exc)) from exc
-    payload = wit.to_dict()
-    payload["config_digest"] = config_digest(_effective_config(cfg, args))
+    payload = _bounds.representation_feasibility(H, beta, theta).to_dict()
+    payload["config_digest"] = config_digest(cfg)
     _emit(payload, args.out)
     return 0
 
@@ -693,8 +672,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad command line ends like any other failure: one JSON object
+        # on stderr and exit 2, not a usage dump
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smallball",
         description="Certified small-deviation bounds with Monte Carlo checks",
     )
@@ -710,17 +696,20 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None,
-                       help="override the number of simulated paths")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None, help="artifact output path")
+        if name in ("simulate", "estimate", "verify"):
+            p.add_argument("--seed", type=int, help="override the config's seed")
+            p.add_argument("--paths", type=int,
+                           help="override the number of simulated paths")
+        if name in ("estimate", "verify"):
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes, at most one per chunk")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         declared = cfg.pop("command", None)
         if declared is not None and declared != args.command:
@@ -729,16 +718,20 @@ def main(argv=None) -> int:
                 f"config names command {declared!r} but {args.command!r} "
                 "was invoked",
             )
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](_effective_config(cfg, args), args)
+    except argparse.ArgumentError as exc:
+        _print_error("argument", exc)
     except ConfigError as exc:
         _print_error("config", exc, pointer=exc.pointer)
-        return 2
     except SmallBallError as exc:
         _print_error(type(exc).__name__, exc)
-        return 2
+    except (ValueError, OverflowError) as exc:
+        # a producer rejected a value the schema lets through, or a finite
+        # value overflowed inside it
+        _print_error("config", exc, pointer="/")
     except OSError as exc:
         _print_error("io", exc)
-        return 2
+    return 2
 
 
 def _print_error(kind: str, exc: Exception, pointer: str | None = None):

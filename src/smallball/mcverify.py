@@ -211,12 +211,18 @@ def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
     """[job(streams)] over the CHUNK-sized blocks of stream ids 0..n_paths-1.
 
     The one place paths are split into chunks.  Results come back in chunk
-    order; workers > 1 maps over a process pool, so job must pickle.
+    order; workers > 1 maps over a process pool of at most one process per
+    chunk, so job must pickle.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    blocks = (np.arange(s, min(s + CHUNK, n_paths)) for s in range(0, n_paths, CHUNK))
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    starts = range(0, n_paths, CHUNK)
+    blocks = (np.arange(s, min(s + CHUNK, n_paths)) for s in starts)
+    # a fork-start pool forks all max_workers processes at the first submit
+    workers = min(workers, len(starts))
+    if workers == 1:
         return [job(streams) for streams in blocks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, blocks, chunksize=1))

@@ -442,6 +442,86 @@ class TestArtifactErrors:
         assert parse_error(err)["type"] == "io"
 
 
+class TestArguments:
+    """Each subcommand takes only the flags it reads; a bad command line
+    ends in one JSON error object and exit 2, like a bad config."""
+
+    CONFIGS = {
+        "bound": {"process": {"kind": "fbm", "H": 0.3}, "epsilons": [0.1]},
+        "toeplitz": {"H": 0.3, "N": 16},
+        "rate": {"epsilons": [0.1, 0.2, 0.3], "values": [0.01, 0.1, 0.3]},
+        "simulate": {"process": {"kind": "bm"}, "N": 8},
+        "estimate": {"process": {"kind": "bm"}, "N": 64, "epsilons": [0.5],
+                     "n_paths": 1000},
+    }
+
+    @pytest.mark.parametrize("argv,error", [
+        (["bound", "--seed", "3"],
+         {"type": "argument", "message": "unrecognized arguments: --seed 3"}),
+        (["toeplitz", "--paths", "4"],
+         {"type": "argument", "message": "unrecognized arguments: --paths 4"}),
+        (["rate", "--workers", "2"],
+         {"type": "argument", "message": "unrecognized arguments: --workers 2"}),
+        (["simulate", "--workers", "2"],
+         {"type": "argument", "message": "unrecognized arguments: --workers 2"}),
+        (["estimate", "--workers", "abc"],
+         {"type": "argument",
+          "message": "argument --workers: invalid int value: 'abc'"}),
+        (["estimate", "--workers", "0"],
+         {"type": "config", "pointer": "/",
+          "message": "workers must be >= 1, got 0"}),
+        (["smallballs"],
+         {"type": "argument",
+          "message": "argument command: invalid choice: 'smallballs'"}),
+        ([], {"type": "argument",
+              "message": "the following arguments are required: command"}),
+    ], ids=["bound-seed", "toeplitz-paths", "rate-workers", "simulate-workers",
+            "workers-abc", "workers-0", "unknown-command", "no-command"])
+    def test_error_is_one_json_line(self, argv, error, tmp_path, capsys):
+        if argv and argv[0] in self.CONFIGS:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(self.CONFIGS[argv[0]]))
+            argv = [argv[0], "--config", str(cfg_path),
+                    "--out", str(tmp_path / "out.csv"), *argv[1:]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        # newer Pythons list the choices of an invalid command without quotes
+        message = payload["error"].pop("message")
+        assert message.startswith(error.pop("message"))
+        assert payload == {"error": error}
+
+    @pytest.mark.parametrize("command,config,workers", [
+        ("simulate", {"process": {"kind": "fbm", "H": 0.3}, "N": 16}, ()),
+        ("estimate", {"process": {"kind": "fbm", "H": 0.3}, "N": 64,
+                      "epsilons": [0.3, 0.6]}, ("--workers", "1")),
+        ("verify", {"process": {"kind": "fbm", "H": 0.3}, "N": 64,
+                    "epsilons": [0.3, 0.6]}, ("--workers", "1")),
+    ], ids=["simulate", "estimate", "verify"])
+    def test_flags_equal_config_keys(self, command, config, workers, tmp_path,
+                                     capsys):
+        # --seed and --paths replace the config's keys before anything reads
+        # or digests the config
+        out = tmp_path / "out.csv"
+        as_keys = run_cli(tmp_path, capsys, command,
+                          {**config, "seed": 4, "n_paths": 1000},
+                          "--out", str(out), *workers)
+        keys_csv = out.read_bytes()
+        as_flags = run_cli(tmp_path, capsys, command, config, "--out", str(out),
+                           "--seed", "4", "--paths", "1000", *workers)
+        overriding = run_cli(tmp_path, capsys, command,
+                             {**config, "seed": 9, "n_paths": 2000},
+                             "--out", str(out), "--seed", "4", "--paths", "1000",
+                             *workers)
+        assert as_keys[0] == 0
+        assert as_flags == as_keys == overriding
+        assert out.read_bytes() == keys_csv
+
+
 class TestGoldenBytes:
     """Certificate JSON and an estimate CSV, byte for byte.
 
@@ -501,6 +581,8 @@ class TestProducerErrors:
          "expected a list of numbers"),
         ("toeplitz", {"H": 0.3, "N": 0}, "/N",
          "expected an integer >= 2 or a list of them"),
+        ("toeplitz", {"H": 0.3, "N": [10**30]}, "/",
+         "Maximum allowed size exceeded"),
         ("bound", {"kind": "gaussian_class", "H": 0.3, "epsilons": [0.1],
                    "delta_mesh": 0}, "/", "delta_mesh must be positive"),
         # JSON parsing lets NaN, +-Infinity and out-of-range numbers through
@@ -553,8 +635,8 @@ class TestProducerErrors:
          "/bound/T", "T = 1.0 differs from the simulated horizon T = 2.0"),
     ], ids=["feasibility-beta", "estimate-N", "verify-N", "simulate-N",
             "simulate-n", "simulate-T", "simulate-dist", "simulate-T-1e308",
-            "simulate-uniform-1e308", "rate-values",
-            "rate-window", "toeplitz-N", "bound-mesh", "gaussian_class-T-inf",
+            "simulate-uniform-1e308", "rate-values", "rate-window",
+            "toeplitz-N", "toeplitz-N-1e30", "bound-mesh", "gaussian_class-T-inf",
             "holder_indep-T-inf", "fbm_holder-T-inf", "stationary-T-inf",
             "stationary-Delta-inf", "T-minus-inf", "H-nan", "T-1e999",
             "T-long-integer", "verify-epsilon-inf", "fbm_holder-T-1e308",
@@ -586,10 +668,11 @@ class TestProducerErrors:
 
 # Fuzzed configs start from a valid config of each shape and replace or
 # delete one or two keys (nested keys included) with a value from a small
-# pool of valid and invalid values.  Bases and pool keep every run cheap:
-# grids of at most 64 steps, at most 4 paths (1000 for `verify`, the fewest
-# an estimate accepts), and radii and exponents for which the certificate
-# witness grids stay small.
+# pool of valid and invalid values, then add zero or one flag from a pool of
+# valid and invalid --seed/--paths/--workers values.  Bases and pools keep
+# every run cheap: grids of at most 64 steps, at most 1000 paths (the fewest
+# an estimate accepts), at most 2 workers, and radii and exponents for which
+# the certificate witness grids stay small.
 _FUZZ_BASES = [
     ("feasibility", {"H": 0.75, "beta": 0.6, "theta": 0.2}),
     ("simulate", {"process": {"kind": "fbm", "H": 0.3,
@@ -628,6 +711,12 @@ _FUZZ_VALUES = st.sampled_from([
     "x", "fbm", True, None, [], [0.3], {}, {"kind": "bm"},
     float("inf"), float("nan"), 1e308, -1e308,
 ])
+_FUZZ_FLAGS = st.sampled_from([
+    ("--seed", "0"), ("--seed", "7"), ("--seed", "-1"), ("--seed", "x"),
+    ("--seed", str(2**64)), ("--paths", "1"), ("--paths", "1000"),
+    ("--paths", "0"), ("--paths", "2.5"), ("--workers", "1"),
+    ("--workers", "2"), ("--workers", "0"), ("--workers", "abc"),
+])
 
 
 def _key_paths(obj, prefix=()):
@@ -653,21 +742,21 @@ def _fuzzed_configs(draw):
             parent.pop(path[-1], None)
         else:
             parent[path[-1]] = copy.deepcopy(draw(_FUZZ_VALUES))
-    return command, config
+    return command, config, draw(st.one_of(st.just(()), _FUZZ_FLAGS))
 
 
 class TestFuzzedConfigs:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_fuzzed_configs())
     def test_exit_code_and_error_object(self, command_config):
-        command, config = command_config
+        command, config, flags = command_config
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "config.json"
             cfg_path.write_text(json.dumps(config))
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, "--config", str(cfg_path),
-                             "--out", str(Path(tmp) / "out.csv")])
+                             "--out", str(Path(tmp) / "out.csv"), *flags])
         # verify exits 1 when a certificate is contradicted
         assert code in ((0, 1, 2) if command == "verify" else (0, 2))
         if code == 2:

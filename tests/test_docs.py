@@ -1,14 +1,18 @@
-"""Every library name that the README and the demos refer to exists.
+"""Every library name that the README and the demos refer to exists, and
+the README's CLI flags and bound-kind keys are the ones the CLI takes.
 
 Static only: the demos are parsed, never run.
 """
 
+import argparse
 import ast
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from smallball import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -65,3 +69,24 @@ def test_readme_names_the_estimate_header():
     header = table.to_csv_text().split("\n")[0]
     assert header.startswith("# small-ball estimates v")
     assert f"`{header}`" in README.read_text()
+
+
+def test_readme_bound_kind_keys_match_the_cli():
+    paragraph = README.read_text().split("Bound kinds: ", 1)[1].split("\n\n")[0]
+    documented = {kind: set(re.findall(r"`(\w+)`", keys))
+                  for kind, keys in re.findall(r"`(\w+)` \(([^)]*)\)", paragraph)}
+    assert documented == {kind: keys - {"kind"}
+                          for kind, (keys, _, _) in cli._BOUND_KINDS.items()}
+
+
+def test_readme_flags_match_the_parser():
+    rows = re.findall(r"^\| `(\w+)` \| ((?:`--\w+`(?:, )?)+) \|",
+                      README.read_text(), re.M)
+    documented = {command: set(re.findall(r"`(--\w+)`", flags))
+                  for command, flags in rows}
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert documented == {
+        command: {flag for action in parser._actions
+                  for flag in action.option_strings} - {"-h", "--help"}
+        for command, parser in sub.choices.items()}

@@ -115,6 +115,38 @@ class TestEstimate:
         t2 = estimate_small_ball(BM, GRID, [0.5, 1.0], 2000, seed=5, workers=2)
         assert t1.to_csv_text() == t2.to_csv_text()
 
+    @pytest.mark.parametrize("workers,pool_size", [(2, 2), (5000, 4)])
+    def test_pool_has_at_most_one_process_per_chunk(self, workers, pool_size,
+                                                    monkeypatch):
+        # a fork-start pool forks max_workers processes at the first submit,
+        # so the size is checked on a fake that maps in this process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, job, blocks, chunksize=1):
+                return map(job, blocks)
+
+        monkeypatch.setattr("smallball.mcverify.ProcessPoolExecutor", FakePool)
+        serial = estimate_small_ball(BM, GRID, [0.5, 1.0], 1000, seed=5)
+        pooled = estimate_small_ball(BM, GRID, [0.5, 1.0], 1000, seed=5,
+                                     workers=workers)
+        assert sizes == [pool_size]  # 1000 paths are 4 chunks
+        assert pooled.to_csv_text() == serial.to_csv_text()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_needs_at_least_one_worker(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            estimate_small_ball(BM, GRID, [0.5], 1000, seed=5, workers=workers)
+
     def test_agrees_with_reflection_series(self):
         # the discrete sup underestimates the true sup, so the estimated
         # ball probability sits above the continuous one and converges
