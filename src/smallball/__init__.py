@@ -83,4 +83,4 @@ from .mcverify import (
     config_digest,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

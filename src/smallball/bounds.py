@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .concentration import TailModel, cp_upper, gauss_l2_tail, hoeffding_tail
+from .concentration import TailModel, cp_upper, gauss_l2_tail
 from .errors import EpsilonTooLargeError, InfeasibleCertificateError
 from .gausscov import gamma_two_norm_bound, s_weight_envelope
 from .simulate import DistSpec
@@ -195,38 +195,26 @@ class Certificate:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "T": self.T,
-            "regime": self.regime.to_dict(),
-            "p": self.p,
-            "N": self.N,
-            "delta": self.delta,
-            "I": self.I,
-            "term_concentration": self.term_concentration,
-            "term_drift": self.term_drift,
-            "total": self.total,
-            "mode": self.mode,
-            "confidence": self.confidence,
-            "flags": list(self.flags),
-            "provenance": _jsonable(self.provenance),
-        }
+        return _jsonable(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _jsonable(obj):
+    """JSON-ready copy of a record: a dataclass by its fields, a Regime by
+    its own to_dict (which omits beta=None), tuples as lists and numpy
+    values as Python ones."""
+    if isinstance(obj, Regime):
+        return obj.to_dict()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, Regime):
-        return obj.to_dict()
     return obj
 
 
@@ -260,10 +248,12 @@ def iid_sum_certificate(
             f"epsilon={epsilon:g} exceeds E|Z_1|/4 = {m / 4.0:g}; "
             "the iid bound does not apply"
         )
+    exponent = n * m * m / ((4.0 if variant == "PAPER" else 2.0) * R * R)
     if variant == "PAPER":
         term = min(1.0, 2.0 * math.exp(-n * m**2 / (4.0 * R**2)))
     else:
-        term = hoeffding_tail(n * m / 2.0, [R] * n)
+        # Hoeffding at I/2 for n steps of range R, in O(1) memory at any n
+        term = min(1.0, 2.0 * math.exp(-exponent))
     return Certificate.build(
         epsilon=epsilon, T=float(n), regime=Regime.sup(), p=1.0, N=n,
         delta=1.0, I=n * m, term_concentration=term, term_drift=0.0,
@@ -273,7 +263,7 @@ def iid_sum_certificate(
             "variant": variant,
             "mean_abs": m,
             "abs_bound": R,
-            "exponent": n * m * m / ((4.0 if variant == "PAPER" else 2.0) * R * R),
+            "exponent": exponent,
         },
     )
 
@@ -629,13 +619,7 @@ class FeasibilityWitness:
     reasons: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "H": self.H, "beta": self.beta, "theta": self.theta, "Q": self.Q,
-            "eta": self.eta, "mu": self.mu, "kappa": self.kappa,
-            "gamma_repr": self.gamma_repr, "slack": self.slack,
-            "reasons": list(self.reasons),
-        }
+        return _jsonable(self)
 
 
 def witness_margins(H, theta, Q, eta, mu, kappa, gamma_repr) -> dict:

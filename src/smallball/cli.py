@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -135,22 +136,26 @@ def _numbers(vals: list, pointer: str) -> list:
     return vals
 
 
-def _check_H(H: float, pointer: str) -> float:
+def _check_H(H: float, pointer: str, key: str = "H") -> float:
     if not 0.0 < H < 1.0:
-        raise ConfigError(f"{pointer}/H", "H must lie in (0,1)")
+        raise ConfigError(f"{pointer}/{key}", f"{key} must lie in (0,1)")
     return H
 
 
 def _parse_drift(obj, pointer) -> DriftSpec:
     _check_keys(obj, {"kind", "level", "amplitude", "frequency", "H2"}, pointer)
     kind = _get(obj, "kind", str, pointer, required=True)
+    H2 = _get(obj, "H2", float, pointer, default=0.5)
+    if kind == "fbm":
+        # checked here: DriftSpec's own errors point at /kind
+        _check_H(H2, pointer, "H2")
     try:
         return DriftSpec(
             kind=kind,
             level=_get(obj, "level", float, pointer, default=0.0),
             amplitude=_get(obj, "amplitude", float, pointer, default=1.0),
             frequency=_get(obj, "frequency", float, pointer, default=1.0),
-            H2=_get(obj, "H2", float, pointer, default=0.5),
+            H2=H2,
         )
     except ValueError as exc:
         raise ConfigError(f"{pointer}/kind", str(exc))
@@ -555,9 +560,7 @@ def _cmd_rate(cfg, args):
     except ValueError as exc:
         raise ConfigError("/values", str(exc))
     _emit({
-        "gamma_hat": fit.gamma_hat, "c2_hat": fit.c2_hat,
-        "intercept": fit.intercept, "r_squared": fit.r_squared,
-        "n_used": fit.n_used, "mode": fit.mode, "c1": fit.c1,
+        **asdict(fit),
         "value_window": None if window is None
         else [float(window[0]), float(window[1])],
         "config_digest": config_digest(cfg),

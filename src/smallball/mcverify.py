@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -272,13 +272,9 @@ class EstimateTable:
             f"# N={self.N}",
             f"# seed={self.seed}",
             f"# digest={self.digest}",
-            "epsilon,n_paths,k,p_hat,cp_lower,cp_upper,confidence",
+            ",".join(f.name for f in fields(EstimateRow)),
         ]
-        for r in self.rows:
-            lines.append(
-                f"{r.epsilon!r},{r.n_paths},{r.k},{r.p_hat!r},"
-                f"{r.cp_lower!r},{r.cp_upper!r},{r.confidence!r}"
-            )
+        lines += [",".join(map(repr, astuple(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -311,6 +307,7 @@ def _check_estimate_args(epsilons, n_paths) -> np.ndarray:
 
 
 def _build_table(spec, grid, eps, n_paths, seed, norm, confidence, counts):
+    n_paths = int(n_paths)  # a numpy count would print as np.int64(...)
     digest = config_digest(
         {
             "spec": _spec_payload(spec),
@@ -563,15 +560,7 @@ class VerifyReport:
             "ok": self.ok,
             "confidence": self.confidence,
             "counts": self.counts(),
-            "rows": [
-                {
-                    "epsilon": r.epsilon, "p_hat": r.p_hat,
-                    "cp_lower": r.cp_lower, "cp_upper": r.cp_upper,
-                    "total": r.total, "margin": r.margin, "mode": r.mode,
-                    "verdict": r.verdict,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def to_csv_text(self) -> str:

@@ -392,6 +392,8 @@ class DriftSpec:
     def __post_init__(self):
         if self.kind not in ("none", "constant", "bounded_wave", "fbm", "shared_fbm"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
+        if self.kind == "fbm":
+            _check_hurst(self.H2)
 
     def deterministic_values(self, grid: UniformGrid) -> Optional[np.ndarray]:
         if self.kind == "none":

@@ -7,6 +7,7 @@ loudly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ class TestIidSum:
         val = iid_sum_certificate(self.DIST, 16, 0.125, mode="SHARP").total
         assert val == pytest.approx(TWO_OVER_E2, rel=1e-13)
         assert val < TWO_OVER_E
+
+    def test_sharp_term_takes_no_memory_in_n(self):
+        # the Hoeffding term comes from the recorded exponent, not from a
+        # list of n ranges (8 MB of pointers alone at n = 10^6)
+        tracemalloc.start()
+        try:
+            cert = iid_sum_certificate(self.DIST, 10**6, 0.1, mode="SHARP")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert cert.provenance["exponent"] == 10**6 * 0.25 / 2.0
 
     def test_epsilon_gate(self):
         with pytest.raises(EpsilonTooLargeError):

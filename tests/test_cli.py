@@ -523,11 +523,12 @@ class TestArguments:
 
 
 class TestGoldenBytes:
-    """Certificate JSON and an estimate CSV, byte for byte.
+    """Certificate, feasibility, rate and verify JSON and estimate CSVs,
+    byte for byte.
 
     Each case in cases.json names a command and its config; <case>.out
-    holds the bytes the command wrote (stdout for `bound`, the --out CSV
-    for `estimate`).
+    holds the bytes the command wrote (the --out CSV for `estimate`,
+    stdout for every other command).
     """
 
     CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -633,6 +634,14 @@ class TestProducerErrors:
         ("verify", {"process": {"kind": "bm"}, "T": 2.0, "bound": {
             "process": {"kind": "bm"}}, "N": 1024, "n_paths": 1000},
          "/bound/T", "T = 1.0 differs from the simulated horizon T = 2.0"),
+        # an fbm drift's Hurst index is checked before anything simulates
+        ("estimate", {"process": {"kind": "bm", "drift": {
+            "kind": "fbm", "H2": 1.5}}, "N": 64, "epsilons": [0.5],
+            "n_paths": 1000}, "/process/drift/H2", "H2 must lie in (0,1)"),
+        ("verify", {"process": {"kind": "fbm", "H": 0.3, "drift": {
+            "kind": "fbm", "H2": 0.0}}, "bound": {
+            "kind": "gaussian_class", "H": 0.3}, "N": 64, "n_paths": 1000},
+         "/process/drift/H2", "H2 must lie in (0,1)"),
     ], ids=["feasibility-beta", "estimate-N", "verify-N", "simulate-N",
             "simulate-n", "simulate-T", "simulate-dist", "simulate-T-1e308",
             "simulate-uniform-1e308", "rate-values", "rate-window",
@@ -642,7 +651,7 @@ class TestProducerErrors:
             "T-long-integer", "verify-epsilon-inf", "fbm_holder-T-1e308",
             "holder_indep-T-1e308", "stationary-T-1e308",
             "iid_sum-uniform-1e308", "verify-bm-H", "verify-bound-T",
-            "verify-bound-T-default"])
+            "verify-bound-T-default", "estimate-drift-H2", "verify-drift-H2"])
     def test_config_error(self, command, config, pointer, message, tmp_path,
                           capsys):
         code, _, err = run_cli(tmp_path, capsys, command, config,

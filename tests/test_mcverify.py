@@ -169,6 +169,14 @@ class TestEstimate:
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "epsilon,n_paths,k,p_hat,cp_lower,cp_upper,confidence"
 
+    def test_numpy_path_count_writes_the_int_bytes(self):
+        # repr(np.int64(1000)) is "np.int64(1000)" under numpy 2, and
+        # k / np.int64(1000) a numpy float with the same kind of repr
+        as_int = estimate_small_ball(BM, GRID, [0.5, 1.0], 1000, seed=3)
+        as_numpy = estimate_small_ball(BM, GRID, [0.5, 1.0], np.int64(1000),
+                                       seed=3)
+        assert as_numpy.to_csv_text() == as_int.to_csv_text()
+
     def test_holder_norm_counts_match_batch_norms(self):
         grid = UniformGrid(1.0, 64)
         spec = ProcessSpec(kind="fbm", H=0.4)

@@ -338,6 +338,13 @@ class TestDrift:
             ProcessSpec(kind="bm", H=0.2)
         assert ProcessSpec(kind="bm", H=0.5) == ProcessSpec(kind="bm")
 
+    def test_fbm_drift_rejects_other_hurst_index(self):
+        # at construction, not mid-simulation
+        for H2 in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="Hurst index"):
+                DriftSpec(kind="fbm", H2=H2)
+        DriftSpec(kind="constant", H2=1.5)  # H2 describes only the fbm drift
+
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):
             DriftSpec(kind="quadratic")
