@@ -6,7 +6,8 @@ polarization.  This module builds that matrix (exploiting the Toeplitz
 structure of stationary-increment profiles) and encloses its extreme
 eigenvalues.  It also computes the summable two-norm bound used by the
 explicit certificates, and the spectral density of fractional Gaussian
-noise, whose supremum is the large-N limit of the Toeplitz eigenvalues.
+noise in closed form, whose supremum is the large-N limit of the
+Toeplitz eigenvalues.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import linalg as _sla
 from scipy import special as _special
 
 from .paths import UniformGrid
-from .simulate import fgn_autocovariance
+from .simulate import _check_hurst, fgn_autocovariance
 
 __all__ = [
     "IncrementalVariance",
@@ -50,8 +50,7 @@ class IncrementalVariance:
 
 def sigma2_fbm(H: float) -> IncrementalVariance:
     """Variance profile |t-s|^{2H} of fractional Brownian motion."""
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H}")
+    _check_hurst(H)
 
     def fn(s, t):
         return np.abs(np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) ** (
@@ -433,8 +432,10 @@ def gamma_two_norm_bound(H: float, N: int, delta: float, c_deriv: float) -> floa
 class SpectralSymbol:
     """Spectral density f of unit-variance fGn on [-pi, pi].
 
-    Normalized numerically so that (1/2pi) int f = rho(0) = 1.  Bounded
-    iff H <= 1/2; the Toeplitz eigenvalues converge to sup f from below.
+    f(lam) = const (1 - cos lam) sum_{j in Z} |lam + 2 pi j|^{-1-2H} with
+    const = 2 sin(pi H) Gamma(1+2H), so that (1/2pi) int f = rho(0) = 1
+    (Beran 1994, section 2.1).  Bounded iff H <= 1/2; the Toeplitz
+    eigenvalues converge to sup f from below.
     """
 
     H: float
@@ -445,72 +446,32 @@ class SpectralSymbol:
         return self.H <= 0.5
 
     def evaluate(self, lam) -> np.ndarray:
+        """f(lam) in closed form, with s = 1+2H and a = lam/2pi:
+
+        const [sinc^2(a)/2 |lam|^{1-2H}
+               + 2 sin^2(lam/2) (2pi)^{-s} (zeta(s, 1+a) + zeta(s, 1-a))],
+
+        the j = 0 term and the Hurwitz zeta sum of the others.  At lam = 0
+        it is 0, 1/2 or +inf (times const) for H below, at or above 1/2.
+        """
         lam = np.asarray(lam, dtype=float)
         if np.any(np.abs(lam) > np.pi + 1e-12):
             raise ValueError("frequency outside [-pi, pi]")
-        scalar = lam.ndim == 0
-        lam = np.atleast_1d(lam)
-        out = self.const * _symbol_unnormalized(self.H, lam)
-        return float(out[0]) if scalar else out
-
-
-_SERIES_TERMS = 1000  # explicit terms on each side of j = 0
-
-
-def _symbol_unnormalized(H, lam, screen=False):
-    """(1 - cos lam) * sum_{j in Z} |lam + 2 pi j|^{-1-2H}, vectorized.
-
-    The 0 < |j| <= J terms are summed explicitly, or with ``screen`` in
-    closed form as Hurwitz zeta differences: with s = 1 + 2H and
-    a = lam / 2pi, |a| <= 1/2,
-    (2pi)^{-s} [zeta(s, 1+a) - zeta(s, J+1+a) + zeta(s, 1-a) - zeta(s, J+1-a)].
-    The two forms agree up to rounding.
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    expo = -1.0 - 2.0 * H
-    J = _SERIES_TERMS
-    if screen:
+        s = 1.0 + 2.0 * self.H
         a = lam / (2.0 * np.pi)
-        series = (2.0 * np.pi) ** expo * (
-            _special.zeta(-expo, 1.0 + a) - _special.zeta(-expo, J + 1.0 + a)
-            + _special.zeta(-expo, 1.0 - a) - _special.zeta(-expo, J + 1.0 - a))
-    else:
-        j = 2.0 * np.pi * np.arange(1, J + 1)
-        series = (np.abs(lam[:, None] + j) ** expo).sum(axis=1)
-        series += (np.abs(lam[:, None] - j) ** expo).sum(axis=1)
-    # analytic tail: midpoint integral approximation of the |j| > J remainder
-    edge = 2.0 * np.pi * (J + 0.5)
-    tail = ((edge + lam) ** (-2.0 * H) + (edge - lam) ** (-2.0 * H)) / (
-        4.0 * np.pi * H
-    )
-    one_minus_cos = 1.0 - np.cos(lam)
-    # j = 0 term: (1 - cos lam) |lam|^{-1-2H}, with the lam -> 0 limit
-    # 0, 1/2 or +inf according to the sign of H - 1/2
-    near = np.abs(lam) < 1e-9
-    safe = np.where(near, 1.0, np.abs(lam))
-    center = one_minus_cos * safe**expo
-    if H < 0.5:
-        center = np.where(near, 0.5 * np.abs(lam) ** (1.0 - 2.0 * H), center)
-    elif H == 0.5:
-        center = np.where(near, 0.5, center)
-    else:
-        center = np.where(near, np.where(lam == 0.0, np.inf,
-                                         0.5 * np.abs(lam) ** (1.0 - 2.0 * H)),
-                          center)
-    return center + one_minus_cos * (series + tail)
+        with np.errstate(divide="ignore"):
+            center = 0.5 * np.sinc(a) ** 2 * np.abs(lam) ** (1.0 - 2.0 * self.H)
+        others = (2.0 * np.sin(0.5 * lam) ** 2 * (2.0 * np.pi) ** -s
+                  * (_special.zeta(s, 1.0 + a) + _special.zeta(s, 1.0 - a)))
+        out = self.const * (center + others)
+        return float(out) if lam.ndim == 0 else out
 
 
 def fgn_symbol(H: float) -> SpectralSymbol:
-    """Build the fGn spectral density, normalizing by quadrature."""
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H}")
-
-    def unnorm(x):
-        return float(_symbol_unnormalized(H, np.array([x]))[0])
-
-    integral, _ = _integrate.quad(unnorm, 0.0, np.pi, limit=200)
-    mean = integral / np.pi  # (1/2pi) * int_{-pi}^{pi} by symmetry
-    return SpectralSymbol(H=H, const=1.0 / mean)
+    """The fGn spectral density, normalized by its closed-form constant."""
+    _check_hurst(H)
+    const = 2.0 * math.sin(math.pi * H) * math.gamma(1.0 + 2.0 * H)
+    return SpectralSymbol(H=H, const=const)
 
 
 @dataclass(frozen=True)
@@ -519,38 +480,23 @@ class SymbolSup:
     infinite: bool
 
 
-def _grid_max(symbol: SpectralSymbol, lam: np.ndarray):
-    """(first index of the maximum of f over the grid ``lam``, its value).
-
-    The Hurwitz zeta screen prices every grid point; ``symbol.evaluate``
-    runs only where the screen is within 1e-9 (relative) of its maximum.
-    Screen and exact value differ only by rounding, measured at most
-    1e-15 relative for H in (0, 1/2], so a point outside that band lies
-    below the exact value at the screen's maximum and cannot hold the
-    maximum, nor tie it.  The exact values are thus compared on the band
-    in index order and give the maximum, and its first index, that a full
-    scan gives.  Where f is flat to 1e-9 over the grid (H = 1/2, or the
-    fine grid near pi as H -> 1/2) the band is the whole grid.
-    """
-    screen = _symbol_unnormalized(symbol.H, lam, screen=True)
-    band = np.flatnonzero(screen >= (1.0 - 1e-9) * np.max(screen))
-    vals = symbol.evaluate(lam[band])
-    k = int(np.argmax(vals))
-    return int(band[k]), float(vals[k])
+# relative; covers the rounding of f(pi) (at most 2e-15 against mpmath)
+# and keeps the H = 1/2 Toeplitz enclosure end 1 + 1.4e-14 below
+_SUP_MARGIN = 1e-13
 
 
 def symbol_sup(symbol: SpectralSymbol) -> SymbolSup:
-    """sup f over [0, pi] by a 2048-step grid scan with one local refinement.
+    """sup f over [-pi, pi]: f(pi) (1 + 1e-13) for H <= 1/2, else +inf.
 
-    Both scans evaluate f exactly only near their maximum (``_grid_max``);
-    the value is the one a full evaluation of both grids gives.
+    For H < 1/2 the density increases on [0, pi] and f is flat at
+    H = 1/2, so the supremum is f(pi) = (8 / pi^{1+2H}) sin(pi H)
+    Gamma(1+2H) (1 - 2^{-1-2H}) zeta(1+2H).  A grid scan relies on the
+    same fact, since a grid maximum bounds a supremum only from below
+    unless it sits on a grid point; ``test_antipersistent_sup_is_at_pi``
+    checks it.  The margin makes the value an upper bound despite the
+    rounding of f(pi).
     """
-    M = 2048
     if not symbol.bounded:
         return SymbolSup(value=math.inf, infinite=True)
-    lam = np.linspace(0.0, np.pi, M + 1)
-    k, _ = _grid_max(symbol, lam)
-    lo = lam[max(k - 1, 0)]
-    hi = lam[min(k + 1, M)]
-    fine = np.linspace(lo, hi, M + 1)
-    return SymbolSup(value=_grid_max(symbol, fine)[1], infinite=False)
+    return SymbolSup(value=symbol.evaluate(math.pi) * (1.0 + _SUP_MARGIN),
+                     infinite=False)

@@ -307,7 +307,8 @@ def _check_estimate_args(epsilons, n_paths) -> np.ndarray:
 
 
 def _build_table(spec, grid, eps, n_paths, seed, norm, confidence, counts):
-    n_paths = int(n_paths)  # a numpy count would print as np.int64(...)
+    # numpy scalars would print as np.int64(...) and digest as strings
+    n_paths, seed, confidence = int(n_paths), int(seed), float(confidence)
     digest = config_digest(
         {
             "spec": _spec_payload(spec),

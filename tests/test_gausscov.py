@@ -16,7 +16,6 @@ from smallball import gausscov
 from smallball.gausscov import (
     IncrementalVariance,
     _count_below,
-    _symbol_unnormalized,
     fbm_cover_constant,
     fgn_symbol,
     gamma_two_norm_bound,
@@ -339,30 +338,52 @@ class TestSpectralSymbol:
             1.105896028035461, rel=1e-9
         )
 
+    def test_h_half_sup_is_one_within_margin(self):
+        # the density is exactly 1; the bound is the margin on top of
+        # f(pi), itself within 4e-16 of 1
+        value = symbol_sup(fgn_symbol(0.5)).value
+        assert 1.0 <= value <= (1.0 + 1e-13) * (1.0 + 4e-16)
+
+    @pytest.mark.parametrize("H", [0.02, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7, 0.95])
+    def test_evaluate_matches_mpmath_zeta_form(self, H):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            h, s = mp.mpf(H), 1 + 2 * mp.mpf(H)
+            const = 2 * mp.sin(mp.pi * h) * mp.gamma(s)
+            sym = fgn_symbol(H)
+            for lam in (1e-12, 1e-3, 0.5, math.pi / 3, 2.0, 3.0, math.pi,
+                        -math.pi):
+                x = mp.mpf(lam)
+                a = x / (2 * mp.pi)
+                ref = const * 2 * mp.sin(x / 2) ** 2 * (
+                    abs(x) ** -s
+                    + (2 * mp.pi) ** -s * (mp.zeta(s, 1 + a) + mp.zeta(s, 1 - a)))
+                assert sym.evaluate(lam) == pytest.approx(float(ref), rel=1e-14)
+        assert sym.evaluate(0.0) == (0.0 if H < 0.5 else 1.0 if H == 0.5 else math.inf)
+
     @pytest.mark.parametrize("H", [0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3,
                                    0.35, 0.4, 0.45, 0.4999, 0.5])
     def test_sup_equals_full_grid_scan(self, H):
-        # the screened scan must return the very float a full evaluation of
-        # both grids returns
+        # a coarse scan and one refinement around its maximum bound the
+        # supremum from below; symbol_sup lies above by at most its margin
+        # plus the rounding of f
         sym = fgn_symbol(H)
         lam = np.linspace(0.0, math.pi, 2049)
         k = int(np.argmax(sym.evaluate(lam)))
         fine = np.linspace(lam[max(k - 1, 0)], lam[min(k + 1, 2048)], 2049)
-        assert symbol_sup(sym).value == float(np.max(sym.evaluate(fine)))
-
-    @pytest.mark.parametrize("H", [0.02, 0.1, 0.2, 0.3, 0.4, 0.45, 0.4999, 0.5])
-    def test_screen_matches_series_to_rounding(self, H):
-        # the screen band of 1e-9 is exact only while the Hurwitz zeta form
-        # stays within rounding of the explicit series
-        lam = np.linspace(0.0, math.pi, 2049)
-        exact = _symbol_unnormalized(H, lam)
-        screen = _symbol_unnormalized(H, lam, screen=True)
-        assert np.all(np.abs(screen - exact) <= 1e-12 * exact)
+        scan = float(np.max(sym.evaluate(fine)))
+        assert scan <= symbol_sup(sym).value <= scan * (1.0 + 1e-13 + 4e-16)
 
     def test_antipersistent_sup_is_at_pi(self):
-        # for H < 1/2 the density increases toward the Nyquist frequency
-        sym = fgn_symbol(0.3)
-        assert symbol_sup(sym).value == pytest.approx(sym.evaluate(math.pi), rel=1e-6)
+        # for H < 1/2 the density increases toward the Nyquist frequency,
+        # which is what lets symbol_sup return f(pi)
+        lam = np.linspace(0.0, math.pi, 4097)
+        for H in (0.05, 0.3, 0.45, 0.4999):
+            sym = fgn_symbol(H)
+            f = sym.evaluate(lam)
+            assert np.all(np.diff(f) >= -4e-16 * f[1:])
+            assert symbol_sup(sym).value == pytest.approx(sym.evaluate(math.pi),
+                                                          rel=1e-12)
 
     def test_persistent_symbol_unbounded(self):
         res = symbol_sup(fgn_symbol(0.7))

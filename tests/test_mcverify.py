@@ -171,11 +171,14 @@ class TestEstimate:
 
     def test_numpy_path_count_writes_the_int_bytes(self):
         # repr(np.int64(1000)) is "np.int64(1000)" under numpy 2, and
-        # k / np.int64(1000) a numpy float with the same kind of repr
+        # k / np.int64(1000) a numpy float with the same kind of repr; a
+        # numpy seed would also digest as the string "3"
         as_int = estimate_small_ball(BM, GRID, [0.5, 1.0], 1000, seed=3)
-        as_numpy = estimate_small_ball(BM, GRID, [0.5, 1.0], np.int64(1000),
-                                       seed=3)
-        assert as_numpy.to_csv_text() == as_int.to_csv_text()
+        for kwargs in ({"n_paths": np.int64(1000)}, {"seed": np.int64(3)},
+                       {"confidence": np.float64(0.99)}):
+            args = {"n_paths": 1000, "seed": 3, "confidence": 0.99, **kwargs}
+            as_numpy = estimate_small_ball(BM, GRID, [0.5, 1.0], **args)
+            assert as_numpy.to_csv_text() == as_int.to_csv_text(), kwargs
 
     def test_holder_norm_counts_match_batch_norms(self):
         grid = UniformGrid(1.0, 64)
