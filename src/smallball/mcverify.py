@@ -6,6 +6,12 @@ order.  Chunk size and per-path seeding are independent of the worker
 count, so every artifact is byte-identical whether computed serially or in
 a process pool.  Estimates across an epsilon grid share the same paths,
 making the empirical curve monotone by construction.
+
+A chunk of CHUNK paths is the unit of the pool and of the reduction; a
+chunk job streams its paths through row slices of max(1, 2^16 // N) rows
+(at most CHUNK), the unit of the cache: the simulate kernel samples a
+slice into buffers every slice of the chunk reuses, and only its counts
+or norms leave it.
 """
 
 from __future__ import annotations
@@ -27,10 +33,9 @@ from .paths import UniformGrid, increment_lp
 from .simulate import (
     ProcessSpec,
     SeedSpec,
-    compose_values_block,
-    drift_values_block,
+    _Drift,
+    _x_sampler,
     path_values_block,  # noqa: F401  unused; bench/test_bench.py reads this binding
-    x_values_block,
 )
 
 __all__ = [
@@ -228,16 +233,54 @@ def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
         return list(pool.map(job, blocks, chunksize=1))
 
 
+def _slices(n: int, N: int):
+    """(rows, [(lo, hi), ..]): the row slices of a chunk of n paths on N
+    steps, and the rows of the largest.
+
+    A slice holds max(1, 2^16 // N) rows, at most CHUNK: about 2^16 values,
+    so that the slice's buffers stay in a 2 MiB L2 cache from the draws to
+    the counts (8 rows at N = 8192, 64 at N = 1024).
+    """
+    rows = min(n, CHUNK, max(1, 2 ** 16 // N))
+    return rows, [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
 def _chunk_counts(specs, grid, seed, norm, epsilons, streams):
-    """Ball counts of one chunk, one row per spec; x is simulated once."""
-    x = x_values_block(specs[0], grid, seed, streams)
-    return np.stack([
-        _counts_block(
-            compose_values_block(x, spec, grid, seed, streams),
-            grid.delta, norm, epsilons,
-        )
-        for spec in specs
-    ])
+    """Ball counts of one chunk, one row per spec; x is simulated once per
+    slice and composed with each drift into one reused buffer."""
+    rows, slices = _slices(len(streams), grid.N)
+    x = _x_sampler(specs[0], grid, seed, streams, rows)
+    drifts = [_Drift(spec, grid, seed, streams, rows) for spec in specs]
+    y = np.empty((rows, grid.N + 1))
+    counts = np.zeros((len(specs), len(epsilons)), dtype=np.int64)
+    for lo, hi in slices:
+        xs = x.values(lo, hi)
+        for row, drift in zip(counts, drifts):
+            row += _counts_block(drift.compose(xs, lo, hi, y[: hi - lo]),
+                                 grid.delta, norm, epsilons)
+    return counts
+
+
+def _chunk_increment_lp(spec, grid, seed, p, streams):
+    """|X|_p of each path of one chunk."""
+    rows, slices = _slices(len(streams), grid.N)
+    x = _x_sampler(spec, grid, seed, streams, rows)
+    return np.concatenate([increment_lp(x.values(lo, hi), p) for lo, hi in slices])
+
+
+def _chunk_drift_norms(spec, grid, seed, norm, streams):
+    """Norm of the drift integrand a of each path of one chunk."""
+    rows, slices = _slices(len(streams), grid.N)
+    drift = _Drift(spec, grid, seed, streams, rows)
+    x = None
+    if drift.kind == "shared_fbm":
+        x = _x_sampler(spec, grid, seed, streams, rows)
+    norms = []
+    for lo, hi in slices:
+        a = drift.integrand(None if x is None else x.values(lo, hi), lo, hi)
+        norms.append(_norms_block(np.broadcast_to(a, (hi - lo, grid.N + 1)),
+                                  grid.delta, norm))
+    return np.concatenate(norms)
 
 
 @dataclass(frozen=True)
@@ -405,18 +448,19 @@ def partition_norm_samples(
     p: float,
     n_paths: int,
     seed: int,
+    workers: int = 1,
 ) -> np.ndarray:
     """Draws of |X|_p, the l^p increment norm of the centered process.
 
     The drift is ignored; streams match estimate_small_ball, so these are
-    the |X|_p values of the same underlying x paths.
+    the |X|_p values of the same underlying x paths.  ``workers`` maps the
+    chunks over a process pool, as in estimate_small_ball; the draws do
+    not depend on it.
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    seed_spec = SeedSpec(seed)
-    return np.concatenate(_chunk_map(
-        lambda streams: increment_lp(x_values_block(spec, grid, seed_spec, streams), p),
-        n_paths))
+    job = partial(_chunk_increment_lp, spec, grid, SeedSpec(seed), p)
+    return np.concatenate(_chunk_map(job, n_paths, workers))
 
 
 def drift_norm_samples(
@@ -425,14 +469,13 @@ def drift_norm_samples(
     norm: Regime,
     n_paths: int,
     seed: int,
+    workers: int = 1,
 ) -> np.ndarray:
-    """Draws of the drift norm entering the split (sup of |a|, or its l1)."""
+    """Draws of the drift norm entering the split (sup of |a|, or its l1);
+    ``workers`` as in partition_norm_samples."""
     drift_norm = Regime.l1() if norm.kind == "l1" else Regime.sup()
-    seed_spec = SeedSpec(seed)
-    return np.concatenate(_chunk_map(
-        lambda streams: _norms_block(
-            drift_values_block(spec, grid, seed_spec, streams), grid.delta, drift_norm),
-        n_paths))
+    job = partial(_chunk_drift_norms, spec, grid, SeedSpec(seed), drift_norm)
+    return np.concatenate(_chunk_map(job, n_paths, workers))
 
 
 def bm_sup_exact(epsilon: float, T: float = 1.0) -> float:

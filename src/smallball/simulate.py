@@ -13,6 +13,15 @@ Stream layout v2: each path's generator writes its normals straight into
 the array the sampler transforms (for fGn, the interleaved real and
 imaginary slots of the path's half-spectrum), and one in-place multiply
 turns them into the spectral or increment values.
+
+One kernel samples every block: ``_Sampler`` (the centered process, or an
+independent fbm drift) and ``_Drift`` (the composition y = x + int a) do
+their set-up once per block of streams and then run draws, spectral fill,
+irfft, running sums and composition on one row slice at a time, in place,
+in buffers every slice reuses.  The Monte Carlo chunks of ``mcverify``
+(the pool and reduction unit) pass slices of about 2^16 values, the cache
+unit; the public ``*_block`` functions pass their whole block as one
+slice.  A row's bytes do not depend on the slice it is sampled in.
 """
 
 from __future__ import annotations
@@ -166,15 +175,14 @@ def _sfc64_states(seed: int, purpose: int, streams) -> np.ndarray:
     return np.stack([s0, s1, s2, np.full(ids.size, 13, dtype=np.uint64)], axis=1)
 
 
-def _stream_generators(seed: SeedSpec, streams):
-    """Yield, per stream id s, one reused Generator set to that stream's
-    state, so it draws what ``SeedSpec(seed.seed, s, seed.purpose)
-    .generator()`` would.  Each row's draws must be taken before the next
+def _generators(states, rng: np.random.Generator):
+    """Yield ``rng`` set to each SFC64 state of ``states`` in turn, so it
+    draws what ``SeedSpec(seed, s, purpose).generator()`` would for the
+    stream s of that state.  Each row's draws must be taken before the next
     row is requested.
     """
-    bitgen = np.random.SFC64(0)
-    rng = np.random.Generator(bitgen)
-    for state in _sfc64_states(seed.seed, seed.purpose, streams):
+    bitgen = rng.bit_generator
+    for state in states:
         bitgen.state = {"bit_generator": "SFC64", "state": {"state": state},
                         "has_uint32": 0, "uinteger": 0}
         yield rng
@@ -214,42 +222,97 @@ def _embedding_eigenvalues(H: float, N: int) -> np.ndarray:
     return lam
 
 
-def _normals_into(seed: SeedSpec, streams, out: np.ndarray) -> np.ndarray:
-    """Fill row b of the float array ``out`` with standard normals drawn
-    from stream ``streams[b]`` alone, so a row does not depend on its block.
-    """
-    for row, rng in zip(out, _stream_generators(seed, streams)):
-        rng.standard_normal(out=row)
-    return out
-
-
 @lru_cache(maxsize=32)
-def _spectral_coefficients(H: float, N: int) -> np.ndarray:
+def _spectral_coefficients(H: float, N: int, delta: float) -> np.ndarray:
     """Per-slot multipliers taking the 2N+2 interleaved draws
-    (Re_0, Im_0, .., Re_N, Im_N) of one path to its half-spectrum.
+    (Re_0, Im_0, .., Re_N, Im_N) of one path to its half-spectrum at mesh
+    delta.
 
     With m = 2N, slot pair k holds m * sqrt(lambda_k / 2m) for 0 < k < N;
     k = 0 and k = N are real (m * sqrt(lambda_k / m) on Re, exactly 0 on
     Im), so irfft of the product is m times the length-m FFT of the
-    hermitian vector, the circulant-embedding sample at unit mesh.
+    hermitian vector, the circulant-embedding sample at unit mesh; every
+    slot is then scaled by delta^H.
     """
     lam = _embedding_eigenvalues(H, N)
     m = 2 * N
     c = np.repeat(m * np.sqrt(lam[: N + 1] / (2.0 * m)), 2)
     c[[0, 2 * N]] = m * np.sqrt(lam[[0, N]] / m)
     c[[1, 2 * N + 1]] = 0.0
+    c *= delta**H
     c.setflags(write=False)
     return c
 
 
-def _fgn_from_draws(H: float, N: int, delta: float, draws: np.ndarray) -> np.ndarray:
+def _fgn_from_draws(H: float, N: int, delta: float, draws: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Map (B, 2N+2) interleaved spectral draws to (B, N) fGn increments.
 
     ``draws`` is overwritten with the half-spectrum; the result is a view
-    into the (B, 2N) irfft output.
+    into the (B, 2N) irfft output, ``out`` when given.
     """
-    draws *= delta**H * _spectral_coefficients(H, N)
-    return np.fft.irfft(draws.view(complex), n=2 * N, axis=1)[:, :N]
+    draws *= _spectral_coefficients(H, N, delta)
+    return np.fft.irfft(draws.view(complex), n=2 * N, axis=1, out=out)[:, :N]
+
+
+class _Sampler:
+    """A block of streams of one centered Gaussian process on N steps of
+    width delta, sampled one row slice at a time into buffers of ``rows``
+    rows that every slice reuses.
+
+    The set-up runs once per block: the SFC64 states of its streams, the
+    spectral coefficients (fGn with H != 1/2, cached per (H, N, delta)),
+    and the caller's sampling ``factor`` F (gaussian kind, increments
+    z F^T).  ``increments(lo, hi)`` and ``values(lo, hi)`` sample rows
+    lo..hi-1 of the block and return views into the buffers, which the
+    next call overwrites.  A row depends only on its stream, not on the
+    slice it is sampled in.
+    """
+
+    def __init__(self, N: int, delta: float, seed: SeedSpec, streams, rows: int,
+                 H: float = 0.5, factor: Optional[np.ndarray] = None):
+        self._states = _sfc64_states(seed.seed, seed.purpose, streams)
+        rows = min(rows, len(self._states))
+        self._rng = np.random.Generator(np.random.SFC64(0))
+        self._N, self._delta, self._H, self._factor = N, delta, H, factor
+        self._values = np.empty((rows, N + 1))
+        self._values[:, 0] = 0.0
+        if factor is not None:
+            self._draws = np.empty((rows, N))
+            self._inc = np.empty((rows, N))
+        elif H == 0.5:
+            # embedding eigenvalues are identically 1: increments are iid,
+            # drawn where their running sums go
+            self._draws = self._inc = self._values[:, 1:]
+        else:
+            # each path draws its half-spectrum in place, as (Re_k, Im_k)
+            self._draws = np.empty((rows, N + 1), dtype=complex).view(float)
+            self._wave = np.empty((rows, 2 * N))
+            self._inc = self._wave[:, :N]
+
+    def increments(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, N) increments of rows lo..hi-1 of the block."""
+        r = hi - lo
+        draws = self._draws[:r]
+        for row, rng in zip(draws, _generators(self._states[lo:hi], self._rng)):
+            rng.standard_normal(out=row)
+        if self._factor is not None:
+            # numpy takes a one-row product through gemv, whose sums differ
+            # in the last bits from gemm's, and gemm rows do not depend on
+            # the row count: a lone row is multiplied with a stale neighbour
+            m = min(max(r, 2), len(self._draws))
+            np.matmul(self._draws[:m], self._factor.T, out=self._inc[:m])
+        elif self._H == 0.5:
+            draws *= self._delta**self._H
+        else:
+            _fgn_from_draws(self._H, self._N, self._delta, draws, out=self._wave[:r])
+        return self._inc[:r]
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, N+1) running sums of the increments, from 0."""
+        out = self._values[: hi - lo]
+        np.cumsum(self.increments(lo, hi), axis=1, out=out[:, 1:])
+        return out
 
 
 def fgn_increments_block(
@@ -259,22 +322,16 @@ def fgn_increments_block(
 
     Returns a (len(streams), N) array with Cov(Y_i, Y_j) =
     delta^{2H} * rho_H(|i-j|).  Row b depends only on
-    (seed.seed, seed.purpose, streams[b]).  For H != 1/2 the array is a
-    view into a (len(streams), 2N) transform buffer.
+    (seed.seed, seed.purpose, streams[b]).  The array is a view into the
+    sampler's buffer: the (len(streams), 2N) transform for H != 1/2.
     """
     _check_hurst(H)
     if N < 1:
         raise ValueError("N must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if H == 0.5:
-        # embedding eigenvalues are identically 1: increments are iid
-        z = _normals_into(seed, streams, np.empty((len(streams), N)))
-        z *= delta**H
-        return z
-    # each path draws its half-spectrum in place, as (Re_k, Im_k), k = 0..N
-    w = np.empty((len(streams), N + 1), dtype=complex)
-    return _fgn_from_draws(H, N, delta, _normals_into(seed, streams, w.view(float)))
+    return _Sampler(N, delta, seed, streams, len(streams), H=H).increments(
+        0, len(streams))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +419,9 @@ def iid_sums_block(dist: DistSpec, n: int, seed: SeedSpec, streams) -> np.ndarra
     if n < 1:
         raise ValueError("n must be >= 1")
     out = np.zeros((len(streams), n + 1))
-    for row, rng in zip(out, _stream_generators(seed, streams)):
+    states = _sfc64_states(seed.seed, seed.purpose, streams)
+    rng = np.random.Generator(np.random.SFC64(0))
+    for row, rng in zip(out, _generators(states, rng)):
         np.cumsum(dist.sample(rng, n), out=row[1:])
     return out
 
@@ -444,51 +503,71 @@ class ProcessSpec:
         return base if self.drift.kind == "none" else f"{base}+{self.drift.kind}"
 
 
-def _cumsum0(a: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis, with a zero in front."""
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-    np.cumsum(a, axis=-1, out=out[..., 1:])
-    return out
-
-
-def _x_increments_block(spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams):
+def _x_sampler(spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams,
+               rows: int) -> _Sampler:
+    """The sampler of spec's centered process x, on the purpose-0 streams;
+    the gaussian kind's covariance and factor are built here, once."""
+    seed = seed.with_purpose(PURPOSE_PROCESS)
     if spec.kind in ("fbm", "bm"):
-        return fgn_increments_block(spec.H, grid.N, grid.delta, seed, streams)
+        return _Sampler(grid.N, grid.delta, seed, streams, rows, H=spec.H)
     from .gausscov import IncrementalVariance, increment_covariance
 
     cov = increment_covariance(IncrementalVariance(spec.sigma2), grid)
-    z = _normals_into(seed, streams, np.empty((len(streams), grid.N)))
-    return z @ cov.sampling_factor().T
+    return _Sampler(grid.N, grid.delta, seed, streams, rows,
+                    factor=cov.sampling_factor())
+
+
+class _Drift:
+    """The drift of one ProcessSpec over a block of streams, a row slice at
+    a time.
+
+    A deterministic drift is integrated once per block; ``shared_fbm``
+    reads the slice's x values; an independent fbm drift samples the
+    purpose-1 substream of each stream id, so it cannot perturb the
+    process draws.
+    """
+
+    def __init__(self, spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec,
+                 streams, rows: int):
+        drift = spec.drift
+        self.kind, self._delta = drift.kind, grid.delta
+        self._det = drift.deterministic_values(grid)
+        if self._det is not None:
+            # left Riemann sums of delta * a, from 0
+            self._integral = np.zeros(grid.N + 1)
+            np.cumsum(self._det[:-1], out=self._integral[1:])
+            self._integral *= grid.delta
+        elif drift.kind == "fbm":
+            self._fbm = _Sampler(grid.N, grid.delta, seed.with_purpose(PURPOSE_DRIFT),
+                                 streams, rows, H=drift.H2)
+
+    def integrand(self, x, lo: int, hi: int) -> np.ndarray:
+        """The integrand a on rows lo..hi-1: one (N+1,) row shared by every
+        stream for a deterministic drift, else (hi - lo, N+1); ``x`` holds
+        the slice's x values and is read by ``shared_fbm`` only."""
+        if self._det is not None:
+            return self._det
+        return x if self.kind == "shared_fbm" else self._fbm.values(lo, hi)
+
+    def compose(self, x, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """y = x + int_0^t a ds on rows lo..hi-1 into ``out``, the integral a
+        left Riemann sum; without a drift, x itself."""
+        if self.kind == "none":
+            return x
+        if self._det is not None:
+            return np.add(x, self._integral, out=out)
+        out[:, 0] = 0.0
+        np.cumsum(self.integrand(x, lo, hi)[:, :-1], axis=1, out=out[:, 1:])
+        out *= self._delta
+        out += x
+        return out
 
 
 def x_values_block(
     spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams
 ) -> np.ndarray:
     """Values of the centered process x on the grid: (B, N+1)."""
-    return _cumsum0(
-        _x_increments_block(spec, grid, seed.with_purpose(PURPOSE_PROCESS), streams)
-    )
-
-
-def _drift_integrand(
-    spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams, x=None
-) -> np.ndarray:
-    """The drift integrand a on the grid.
-
-    A deterministic drift gives one (N+1,) row shared by every stream;
-    ``shared_fbm`` gives x itself, simulated here when not passed in; an
-    independent fbm drift draws from the purpose-1 substream of each
-    stream id, so it cannot perturb the process draws.
-    """
-    drift = spec.drift
-    det = drift.deterministic_values(grid)
-    if det is not None:
-        return det
-    if drift.kind == "shared_fbm":
-        return x_values_block(spec, grid, seed, streams) if x is None else x
-    return _cumsum0(fgn_increments_block(
-        drift.H2, grid.N, grid.delta, seed.with_purpose(PURPOSE_DRIFT), streams
-    ))
+    return _x_sampler(spec, grid, seed, streams, len(streams)).values(0, len(streams))
 
 
 def compose_values_block(
@@ -499,8 +578,8 @@ def compose_values_block(
     """
     if spec.drift.kind == "none":
         return x
-    a = _drift_integrand(spec, grid, seed, streams, x)
-    return x + _cumsum0(a[..., :-1]) * grid.delta
+    drift = _Drift(spec, grid, seed, streams, len(streams))
+    return drift.compose(x, 0, len(streams), np.empty((len(streams), grid.N + 1)))
 
 
 def path_values_block(
@@ -519,7 +598,9 @@ def drift_values_block(
     Uses the same substream layout as path_values_block, so the drift paths
     returned here are exactly the ones entering the composed process.
     """
-    a = _drift_integrand(spec, grid, seed, streams)
+    if spec.drift.kind == "shared_fbm":
+        return x_values_block(spec, grid, seed, streams)
+    a = _Drift(spec, grid, seed, streams, len(streams)).integrand(None, 0, len(streams))
     if a.ndim == 1:
         a = np.broadcast_to(a, (len(streams), grid.N + 1)).copy()
     return a

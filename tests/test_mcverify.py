@@ -5,15 +5,21 @@ are exact; distributional ones use the reflection-series law of the
 Brownian sup as an independent oracle.
 """
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm as normal
 
+import smallball.gausscov
+import smallball.mcverify
 from smallball.bounds import Certificate, Regime
 from smallball.errors import InvalidComparisonError
 from smallball.mcverify import (
     NormSpec,
     _holder_counts,
+    _norms_block,
     bm_sup_exact,
     config_digest,
     estimate_small_ball,
@@ -23,8 +29,16 @@ from smallball.mcverify import (
     partition_norm_samples,
     verify_certificates,
 )
-from smallball.paths import UniformGrid, holder_norm_batch
-from smallball.simulate import DriftSpec, ProcessSpec, SeedSpec, path_values_block
+from smallball.paths import UniformGrid, holder_norm_batch, increment_lp
+from smallball.simulate import (
+    DriftSpec,
+    ProcessSpec,
+    SeedSpec,
+    _x_sampler,
+    drift_values_block,
+    path_values_block,
+    x_values_block,
+)
 
 BM = ProcessSpec(kind="bm")
 GRID = UniformGrid(1.0, 256)
@@ -370,6 +384,116 @@ class TestNormSamples:
         spec = ProcessSpec(kind="bm", drift=DriftSpec(kind="constant", level=2.0))
         s = drift_norm_samples(spec, GRID, NormSpec("l1"), 300, seed=4)
         np.testing.assert_allclose(s, 2.0, atol=1e-12)
+
+
+class TestSlices:
+    """Chunks of CHUNK paths are streamed through row slices of
+    max(1, 2^16 // N) rows that reuse one set of buffers.  At N = 3000 a
+    slice holds 21 rows, so a full chunk is 12 slices and a 4-row one, and
+    the last chunk of 1000 paths (232 rows) is 11 slices and a 1-row one:
+    every last slice leaves stale rows of the slice before it in the
+    buffers.  Counts must equal those of dense whole-block values."""
+
+    N, PATHS, SEED = 3000, 1000, 23
+    GRID = UniformGrid(1.0, 3000)
+    SPEC = ProcessSpec(kind="fbm", H=0.3)
+    DRIFTS = (DriftSpec(), DriftSpec(kind="constant", level=-0.4),
+              DriftSpec(kind="bounded_wave", amplitude=0.7, frequency=2.0),
+              DriftSpec(kind="fbm", H2=0.6), DriftSpec(kind="shared_fbm"))
+
+    def _dense_norms(self, drift, norm):
+        values = path_values_block(replace(self.SPEC, drift=drift), self.GRID,
+                                   SeedSpec(self.SEED), np.arange(self.PATHS))
+        if norm.kind != "holder":
+            return _norms_block(values, self.GRID.delta, norm)
+        # the dense scan is row by row; pieces keep its temporaries small
+        return np.concatenate([
+            holder_norm_batch(values[i:i + 16], self.GRID.delta, norm.beta)
+            for i in range(0, self.PATHS, 16)])
+
+    @pytest.mark.parametrize("norm", [Regime.sup(), Regime.l1(), Regime.holder(0.2)],
+                             ids=lambda n: n.kind)
+    def test_counts_match_dense_values_across_slice_boundaries(self, norm):
+        # one estimate composes x with every drift into one reused buffer;
+        # radii at three quantiles of each drift's norms, and one above
+        # every norm, where a stale row counted would push k past n_paths
+        norms = [self._dense_norms(d, norm) for d in self.DRIFTS]
+        eps = sorted({float(q) for n in norms for q in np.quantile(n, [0.1, 0.5, 0.9])}
+                     | {2.0 * max(float(n.max()) for n in norms)})
+        tables = estimate_small_ball_drifts(self.SPEC, self.DRIFTS, self.GRID, eps,
+                                            self.PATHS, self.SEED, norm=norm)
+        for drift, table, dense in zip(self.DRIFTS, tables, norms):
+            assert [r.k for r in table.rows] == [
+                int(np.count_nonzero(dense <= e)) for e in eps], drift.kind
+            assert table.rows[-1].k == self.PATHS
+
+    def test_each_slice_counts_only_its_rows(self, monkeypatch):
+        counted = []
+        counts_block = smallball.mcverify._counts_block
+
+        def spy(values, delta, norm, epsilons):
+            counted.append(values.shape[0])
+            return counts_block(values, delta, norm, epsilons)
+
+        monkeypatch.setattr(smallball.mcverify, "_counts_block", spy)
+        drifts = (DriftSpec(), DriftSpec(kind="shared_fbm"))
+        tables = estimate_small_ball_drifts(self.SPEC, drifts, self.GRID, [1e9],
+                                            self.PATHS, self.SEED)
+        slices = 3 * ([21] * 12 + [4]) + [21] * 11 + [1]
+        assert counted == [r for r in slices for _ in drifts]
+        assert [t.rows[0].k for t in tables] == [self.PATHS, self.PATHS]
+
+    @pytest.mark.parametrize("spec", [
+        ProcessSpec(kind="fbm", H=0.3), ProcessSpec(kind="bm"),
+        ProcessSpec(kind="gaussian", sigma2=lambda s, t: abs(t - s) ** 0.8),
+    ], ids=lambda s: s.kind)
+    def test_slices_sample_the_rows_of_the_whole_block(self, spec):
+        # 9 streams in slices of 4 rows end on a lone row, which the
+        # gaussian kind multiplies like every other (no one-row product)
+        grid = UniformGrid(1.0, 40)
+        streams = np.array([3, 0, 7, 2**40, 1, 9, 4, 12, 5])
+        sampler = _x_sampler(spec, grid, SeedSpec(6), streams, 4)
+        sliced = np.concatenate([sampler.values(lo, min(lo + 4, 9)).copy()
+                                 for lo in range(0, 9, 4)])
+        whole = x_values_block(spec, grid, SeedSpec(6), streams)
+        np.testing.assert_array_equal(sliced, whole)
+
+    def test_gaussian_factor_is_built_once_per_chunk(self, monkeypatch):
+        built = []
+        build = smallball.gausscov.increment_covariance
+
+        def counting(iv, grid):
+            built.append(grid.N)
+            return build(iv, grid)
+
+        monkeypatch.setattr(smallball.gausscov, "increment_covariance", counting)
+        spec = ProcessSpec(kind="gaussian", sigma2=lambda s, t: abs(t - s) ** 0.8)
+        table = estimate_small_ball(spec, UniformGrid(1.0, 1000),
+                                    [0.6, 0.9, 1.2, 2.0, 5.0], 1000, 31)
+        assert built == [1000] * 4  # 4 chunks of 4 slices each
+        # the bytes of the table sampled by whole chunks
+        text = table.to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "79a15649b1f4074778e1a8c35213646f77678cf82c504e44eebafefbae44b59b")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_norm_samples_match_dense_values(self, workers):
+        shared = replace(self.SPEC, drift=DriftSpec(kind="shared_fbm"))
+        x = x_values_block(self.SPEC, self.GRID, SeedSpec(self.SEED),
+                           np.arange(self.PATHS))
+        np.testing.assert_array_equal(
+            partition_norm_samples(shared, self.GRID, 2.0, self.PATHS, self.SEED,
+                                   workers=workers),
+            increment_lp(x, 2.0))
+        for drift in self.DRIFTS[1:]:
+            spec = replace(self.SPEC, drift=drift)
+            a = drift_values_block(spec, self.GRID, SeedSpec(self.SEED),
+                                   np.arange(self.PATHS))
+            for norm in (Regime.sup(), Regime.l1()):
+                np.testing.assert_array_equal(
+                    drift_norm_samples(spec, self.GRID, norm, self.PATHS, self.SEED,
+                                       workers=workers),
+                    _norms_block(a, self.GRID.delta, norm), err_msg=drift.kind)
 
 
 class TestBmSupExact:

@@ -23,7 +23,7 @@ from smallball.simulate import (
     x_values_block,
 )
 from smallball.gausscov import IncrementalVariance, increment_covariance
-from smallball.simulate import _cumsum0, _fgn_from_draws, _sfc64_states
+from smallball.simulate import _fgn_from_draws, _sfc64_states
 
 RHO1_H03 = (2.0**0.6 - 2.0) / 2.0  # rho_{0.3}(1), closed form
 
@@ -147,7 +147,9 @@ class TestBlockStates:
         block = x_values_block(spec, grid, SeedSpec(4), self.MIXED)
         z = _reference_rows(SeedSpec(4), self.MIXED, lambda g: g.standard_normal(grid.N))
         factor = increment_covariance(IncrementalVariance(sigma2), grid).sampling_factor()
-        np.testing.assert_array_equal(block, _cumsum0(z @ factor.T))
+        expected = np.zeros((len(self.MIXED), grid.N + 1))
+        np.cumsum(z @ factor.T, axis=1, out=expected[:, 1:])
+        np.testing.assert_array_equal(block, expected)
 
     @pytest.mark.parametrize("dist", [
         DistSpec.uniform(-1.0, 2.0),
