@@ -272,15 +272,10 @@ def _chunk_drift_norms(spec, grid, seed, norm, streams):
     """Norm of the drift integrand a of each path of one chunk."""
     rows, slices = _slices(len(streams), grid.N)
     drift = _Drift(spec, grid, seed, streams, rows)
-    x = None
-    if drift.kind == "shared_fbm":
-        x = _x_sampler(spec, grid, seed, streams, rows)
-    norms = []
-    for lo, hi in slices:
-        a = drift.integrand(None if x is None else x.values(lo, hi), lo, hi)
-        norms.append(_norms_block(np.broadcast_to(a, (hi - lo, grid.N + 1)),
-                                  grid.delta, norm))
-    return np.concatenate(norms)
+    return np.concatenate([
+        _norms_block(np.broadcast_to(drift.integrand(lo, hi), (hi - lo, grid.N + 1)),
+                     grid.delta, norm)
+        for lo, hi in slices])
 
 
 @dataclass(frozen=True)
@@ -448,19 +443,16 @@ def partition_norm_samples(
     p: float,
     n_paths: int,
     seed: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Draws of |X|_p, the l^p increment norm of the centered process.
 
     The drift is ignored; streams match estimate_small_ball, so these are
-    the |X|_p values of the same underlying x paths.  ``workers`` maps the
-    chunks over a process pool, as in estimate_small_ball; the draws do
-    not depend on it.
+    the |X|_p values of the same underlying x paths.
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     job = partial(_chunk_increment_lp, spec, grid, SeedSpec(seed), p)
-    return np.concatenate(_chunk_map(job, n_paths, workers))
+    return np.concatenate(_chunk_map(job, n_paths))
 
 
 def drift_norm_samples(
@@ -469,13 +461,11 @@ def drift_norm_samples(
     norm: Regime,
     n_paths: int,
     seed: int,
-    workers: int = 1,
 ) -> np.ndarray:
-    """Draws of the drift norm entering the split (sup of |a|, or its l1);
-    ``workers`` as in partition_norm_samples."""
+    """Draws of the drift norm entering the split (sup of |a|, or its l1)."""
     drift_norm = Regime.l1() if norm.kind == "l1" else Regime.sup()
     job = partial(_chunk_drift_norms, spec, grid, SeedSpec(seed), drift_norm)
-    return np.concatenate(_chunk_map(job, n_paths, workers))
+    return np.concatenate(_chunk_map(job, n_paths))
 
 
 def bm_sup_exact(epsilon: float, T: float = 1.0) -> float:

@@ -27,7 +27,7 @@ slice.  A row's bytes do not depend on the slice it is sampled in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -521,43 +521,47 @@ class _Drift:
     """The drift of one ProcessSpec over a block of streams, a row slice at
     a time.
 
-    A deterministic drift is integrated once per block; ``shared_fbm``
-    reads the slice's x values; an independent fbm drift samples the
-    purpose-1 substream of each stream id, so it cannot perturb the
-    process draws.
+    A deterministic drift is integrated once per block.  A random
+    integrand is sampled on first use: ``shared_fbm`` is x itself, and an
+    independent fbm drift samples the purpose-1 substream of each stream
+    id, so it cannot perturb the process draws.
     """
 
     def __init__(self, spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec,
                  streams, rows: int):
-        drift = spec.drift
-        self.kind, self._delta = drift.kind, grid.delta
-        self._det = drift.deterministic_values(grid)
+        self._block = (spec, grid, seed, streams, rows)
+        self._kind, self._delta = spec.drift.kind, grid.delta
+        self._det = spec.drift.deterministic_values(grid)
         if self._det is not None:
             # left Riemann sums of delta * a, from 0
             self._integral = np.zeros(grid.N + 1)
             np.cumsum(self._det[:-1], out=self._integral[1:])
             self._integral *= grid.delta
-        elif drift.kind == "fbm":
-            self._fbm = _Sampler(grid.N, grid.delta, seed.with_purpose(PURPOSE_DRIFT),
-                                 streams, rows, H=drift.H2)
 
-    def integrand(self, x, lo: int, hi: int) -> np.ndarray:
+    @cached_property
+    def _paths(self) -> _Sampler:
+        spec, grid, seed, streams, rows = self._block
+        if self._kind == "shared_fbm":
+            return _x_sampler(spec, grid, seed, streams, rows)
+        return _Sampler(grid.N, grid.delta, seed.with_purpose(PURPOSE_DRIFT),
+                        streams, rows, H=spec.drift.H2)
+
+    def integrand(self, lo: int, hi: int) -> np.ndarray:
         """The integrand a on rows lo..hi-1: one (N+1,) row shared by every
-        stream for a deterministic drift, else (hi - lo, N+1); ``x`` holds
-        the slice's x values and is read by ``shared_fbm`` only."""
-        if self._det is not None:
-            return self._det
-        return x if self.kind == "shared_fbm" else self._fbm.values(lo, hi)
+        stream for a deterministic drift, else (hi - lo, N+1)."""
+        return self._det if self._det is not None else self._paths.values(lo, hi)
 
     def compose(self, x, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """y = x + int_0^t a ds on rows lo..hi-1 into ``out``, the integral a
         left Riemann sum; without a drift, x itself."""
-        if self.kind == "none":
+        if self._kind == "none":
             return x
         if self._det is not None:
             return np.add(x, self._integral, out=out)
+        # shared_fbm integrates the x values it is given
+        a = x if self._kind == "shared_fbm" else self._paths.values(lo, hi)
         out[:, 0] = 0.0
-        np.cumsum(self.integrand(x, lo, hi)[:, :-1], axis=1, out=out[:, 1:])
+        np.cumsum(a[:, :-1], axis=1, out=out[:, 1:])
         out *= self._delta
         out += x
         return out
@@ -598,9 +602,7 @@ def drift_values_block(
     Uses the same substream layout as path_values_block, so the drift paths
     returned here are exactly the ones entering the composed process.
     """
-    if spec.drift.kind == "shared_fbm":
-        return x_values_block(spec, grid, seed, streams)
-    a = _Drift(spec, grid, seed, streams, len(streams)).integrand(None, 0, len(streams))
+    a = _Drift(spec, grid, seed, streams, len(streams)).integrand(0, len(streams))
     if a.ndim == 1:
         a = np.broadcast_to(a, (len(streams), grid.N + 1)).copy()
     return a

@@ -101,7 +101,7 @@ def _explicit_cert(H, eps, drift_model):
         return Certificate.vacuous_certificate(eps, 1.0, Regime.sup(), str(exc))
 
 
-def _statistical_cert(H, eps, shared_spec, drift_sup_samples, workers):
+def _statistical_cert(H, eps, shared_spec, drift_sup_samples):
     # the partition spacing starts just above the scale where the median
     # increment norm is feasible and backs off on the simulation mesh
     d_seed = (4.0 * eps) ** (1.0 / H)
@@ -113,8 +113,7 @@ def _statistical_cert(H, eps, shared_spec, drift_sup_samples, workers):
         if N < 1:
             continue
         part = UniformGrid(N * delta, N)
-        x_norms = partition_norm_samples(shared_spec, part, 2.0, 20_000, 707,
-                                         workers=workers)
+        x_norms = partition_norm_samples(shared_spec, part, 2.0, 20_000, 707)
         try:
             return empirical_certificate(
                 eps, 1.0, Regime.sup(), 2.0, N, delta,
@@ -143,11 +142,11 @@ def _build_c1(workers):
         )
         shared = replace(spec, drift=DriftSpec(kind="shared_fbm"))
         drift_sup = drift_norm_samples(
-            shared, _GRID_FINE, NormSpec("sup"), 20_000, 708, workers=workers)
+            shared, _GRID_FINE, NormSpec("sup"), 20_000, 708)
         cert_sets = (
             [_explicit_cert(H, e, None) for e in _EPS_GRID],
             [_explicit_cert(H, e, drift_bounded_model(1.0)) for e in _EPS_GRID],
-            [_statistical_cert(H, e, shared, drift_sup, workers) for e in _EPS_GRID],
+            [_statistical_cert(H, e, shared, drift_sup) for e in _EPS_GRID],
         )
         tag = f"h{int(round(H * 100)):02d}"
         for label, table, certs in zip(

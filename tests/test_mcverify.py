@@ -7,6 +7,7 @@ Brownian sup as an independent oracle.
 
 import hashlib
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from smallball.bounds import Certificate, Regime
 from smallball.errors import InvalidComparisonError
 from smallball.mcverify import (
     NormSpec,
+    _chunk_map,
     _holder_counts,
     _norms_block,
     bm_sup_exact,
@@ -390,11 +392,11 @@ class TestSlices:
     """Chunks of CHUNK paths are streamed through row slices of
     max(1, 2^16 // N) rows that reuse one set of buffers.  At N = 3000 a
     slice holds 21 rows, so a full chunk is 12 slices and a 4-row one, and
-    the last chunk of 1000 paths (232 rows) is 11 slices and a 1-row one:
+    the last chunk of 278 paths (22 rows) is a slice and a 1-row one:
     every last slice leaves stale rows of the slice before it in the
     buffers.  Counts must equal those of dense whole-block values."""
 
-    N, PATHS, SEED = 3000, 1000, 23
+    N, PATHS, SEED = 3000, 278, 23
     GRID = UniformGrid(1.0, 3000)
     SPEC = ProcessSpec(kind="fbm", H=0.3)
     DRIFTS = (DriftSpec(), DriftSpec(kind="constant", level=-0.4),
@@ -411,6 +413,13 @@ class TestSlices:
             holder_norm_batch(values[i:i + 16], self.GRID.delta, norm.beta)
             for i in range(0, self.PATHS, 16)])
 
+    def _counts(self, drifts, eps, norm=Regime.sup()):
+        # the chunk jobs of estimate_small_ball_drifts, below its 1000-path floor
+        specs = tuple(replace(self.SPEC, drift=d) for d in drifts)
+        job = partial(smallball.mcverify._chunk_counts, specs, self.GRID,
+                      SeedSpec(self.SEED), norm, np.asarray(eps))
+        return sum(_chunk_map(job, self.PATHS))
+
     @pytest.mark.parametrize("norm", [Regime.sup(), Regime.l1(), Regime.holder(0.2)],
                              ids=lambda n: n.kind)
     def test_counts_match_dense_values_across_slice_boundaries(self, norm):
@@ -420,12 +429,11 @@ class TestSlices:
         norms = [self._dense_norms(d, norm) for d in self.DRIFTS]
         eps = sorted({float(q) for n in norms for q in np.quantile(n, [0.1, 0.5, 0.9])}
                      | {2.0 * max(float(n.max()) for n in norms)})
-        tables = estimate_small_ball_drifts(self.SPEC, self.DRIFTS, self.GRID, eps,
-                                            self.PATHS, self.SEED, norm=norm)
-        for drift, table, dense in zip(self.DRIFTS, tables, norms):
-            assert [r.k for r in table.rows] == [
+        counts = self._counts(self.DRIFTS, eps, norm)
+        for drift, row, dense in zip(self.DRIFTS, counts, norms):
+            assert row.tolist() == [
                 int(np.count_nonzero(dense <= e)) for e in eps], drift.kind
-            assert table.rows[-1].k == self.PATHS
+            assert row[-1] == self.PATHS
 
     def test_each_slice_counts_only_its_rows(self, monkeypatch):
         counted = []
@@ -437,11 +445,10 @@ class TestSlices:
 
         monkeypatch.setattr(smallball.mcverify, "_counts_block", spy)
         drifts = (DriftSpec(), DriftSpec(kind="shared_fbm"))
-        tables = estimate_small_ball_drifts(self.SPEC, drifts, self.GRID, [1e9],
-                                            self.PATHS, self.SEED)
-        slices = 3 * ([21] * 12 + [4]) + [21] * 11 + [1]
+        counts = self._counts(drifts, [1e9])
+        slices = [21] * 12 + [4] + [21, 1]
         assert counted == [r for r in slices for _ in drifts]
-        assert [t.rows[0].k for t in tables] == [self.PATHS, self.PATHS]
+        assert counts.tolist() == [[self.PATHS], [self.PATHS]]
 
     @pytest.mark.parametrize("spec", [
         ProcessSpec(kind="fbm", H=0.3), ProcessSpec(kind="bm"),
@@ -476,14 +483,12 @@ class TestSlices:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "79a15649b1f4074778e1a8c35213646f77678cf82c504e44eebafefbae44b59b")
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_norm_samples_match_dense_values(self, workers):
+    def test_norm_samples_match_dense_values(self):
         shared = replace(self.SPEC, drift=DriftSpec(kind="shared_fbm"))
         x = x_values_block(self.SPEC, self.GRID, SeedSpec(self.SEED),
                            np.arange(self.PATHS))
         np.testing.assert_array_equal(
-            partition_norm_samples(shared, self.GRID, 2.0, self.PATHS, self.SEED,
-                                   workers=workers),
+            partition_norm_samples(shared, self.GRID, 2.0, self.PATHS, self.SEED),
             increment_lp(x, 2.0))
         for drift in self.DRIFTS[1:]:
             spec = replace(self.SPEC, drift=drift)
@@ -491,8 +496,7 @@ class TestSlices:
                                    np.arange(self.PATHS))
             for norm in (Regime.sup(), Regime.l1()):
                 np.testing.assert_array_equal(
-                    drift_norm_samples(spec, self.GRID, norm, self.PATHS, self.SEED,
-                                       workers=workers),
+                    drift_norm_samples(spec, self.GRID, norm, self.PATHS, self.SEED),
                     _norms_block(a, self.GRID.delta, norm), err_msg=drift.kind)
 
 
