@@ -29,7 +29,6 @@ from .simulate import (
     fgn_autocovariance,
     fgn_increments_block,
     path_values_block,
-    drift_values_block,
 )
 from .gausscov import (
     IncrementalVariance,

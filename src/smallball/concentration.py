@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _special
 
 __all__ = [
     "TailModel",
@@ -102,11 +102,13 @@ def drift_borell_model(mean: float, var: float) -> TailModel:
 
 
 def cp_upper(k: int, n: int, confidence: float) -> float:
-    """One-sided exact upper confidence limit for a binomial proportion."""
+    """One-sided exact upper confidence limit for a binomial proportion:
+    the Beta(k+1, n-k) quantile at the confidence level, i.e. the inverse
+    regularized incomplete beta function."""
     _check_counts(k, n, confidence)
     if k >= n:
         return 1.0
-    return float(_stats.beta.ppf(confidence, k + 1, n - k))
+    return float(_special.betaincinv(k + 1, n - k, confidence))
 
 
 def cp_lower(k: int, n: int, confidence: float) -> float:
@@ -114,7 +116,7 @@ def cp_lower(k: int, n: int, confidence: float) -> float:
     _check_counts(k, n, confidence)
     if k <= 0:
         return 0.0
-    return float(_stats.beta.ppf(1.0 - confidence, k, n - k + 1))
+    return float(_special.betaincinv(k, n - k + 1, 1.0 - confidence))
 
 
 def _check_counts(k, n, confidence):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
@@ -217,7 +218,7 @@ def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
 
     The one place paths are split into chunks.  Results come back in chunk
     order; workers > 1 maps over a process pool of at most one process per
-    chunk, so job must pickle.
+    chunk, so job must pickle: a ValueError says so before the pool starts.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -229,6 +230,12 @@ def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
     workers = min(workers, len(starts))
     if workers == 1:
         return [job(streams) for streams in blocks]
+    try:
+        pickle.dumps(job)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ValueError(
+            f"workers > 1 needs a job that pickles, e.g. a gaussian sigma2 "
+            f"that is a module-level function, not a lambda: {exc}") from exc
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, blocks, chunksize=1))
 

@@ -20,8 +20,9 @@ their set-up once per block of streams and then run draws, spectral fill,
 irfft, running sums and composition on one row slice at a time, in place,
 in buffers every slice reuses.  The Monte Carlo chunks of ``mcverify``
 (the pool and reduction unit) pass slices of about 2^16 values, the cache
-unit; the public ``*_block`` functions pass their whole block as one
-slice.  A row's bytes do not depend on the slice it is sampled in.
+unit; the public blocks, ``fgn_increments_block`` (fGn increments) and
+``path_values_block`` (values of y), pass their whole block as one slice.
+A row's bytes do not depend on the slice it is sampled in.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "fgn_autocovariance",
     "fgn_increments_block",
     "iid_sums_block",
+    "path_values_block",
 ]
 
 PURPOSE_PROCESS = 0
@@ -567,42 +569,11 @@ class _Drift:
         return out
 
 
-def x_values_block(
-    spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams
-) -> np.ndarray:
-    """Values of the centered process x on the grid: (B, N+1)."""
-    return _x_sampler(spec, grid, seed, streams, len(streams)).values(0, len(streams))
-
-
-def compose_values_block(
-    x: np.ndarray, spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams
-) -> np.ndarray:
-    """y values from precomputed x values, y = x + int_0^t a ds, with the
-    integral a left Riemann sum (a deterministic drift is integrated once).
-    """
-    if spec.drift.kind == "none":
-        return x
-    drift = _Drift(spec, grid, seed, streams, len(streams))
-    return drift.compose(x, 0, len(streams), np.empty((len(streams), grid.N + 1)))
-
-
 def path_values_block(
     spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams
 ) -> np.ndarray:
-    """Values of y = x + int a on the grid for a block of streams: (B, N+1)."""
-    x = x_values_block(spec, grid, seed, streams)
-    return compose_values_block(x, spec, grid, seed, streams)
-
-
-def drift_values_block(
-    spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams
-) -> np.ndarray:
-    """Values of the drift integrand a on the grid: (B, N+1).
-
-    Uses the same substream layout as path_values_block, so the drift paths
-    returned here are exactly the ones entering the composed process.
-    """
-    a = _Drift(spec, grid, seed, streams, len(streams)).integrand(0, len(streams))
-    if a.ndim == 1:
-        a = np.broadcast_to(a, (len(streams), grid.N + 1)).copy()
-    return a
+    """Values of y = x + int_0^t a ds on the grid for a block of streams:
+    (B, N+1), the integral a left Riemann sum; without a drift, x itself."""
+    n = len(streams)
+    x = _x_sampler(spec, grid, seed, streams, n).values(0, n)
+    return _Drift(spec, grid, seed, streams, n).compose(x, 0, n, np.empty_like(x))

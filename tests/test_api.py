@@ -1,8 +1,12 @@
-"""Every name a module lists in ``__all__`` exists in that module, and the
-package reports the version its metadata declares."""
+"""Every name a module lists in ``__all__`` exists in that module, the
+package reports the version its metadata declares, and importing the CLI
+loads only what the library uses."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +29,17 @@ def test_version_matches_pyproject():
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
         version = tomllib.load(fh)["project"]["version"]
     assert smallball.__version__ == version
+
+
+def test_cli_import_loads_no_scipy_stats():
+    # scipy.stats drags in optimize, integrate, interpolate, spatial and
+    # ndimage; the library needs only scipy.special and scipy.linalg
+    src = str(Path(smallball.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, smallball.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,7 +2,7 @@
 
 The Clopper-Pearson oracle here inverts the binomial CDF by bisection on
 scipy.stats.binom, independently of the beta-quantile identity used in
-the library.
+the library; scipy.stats.beta is the reference for the limits' bytes.
 """
 
 import math
@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from smallball.bounds import Regime, empirical_certificate
 from smallball.concentration import (
@@ -164,6 +164,22 @@ class TestClopperPearson:
     def test_upper_increases_with_confidence(self):
         assert cp_upper(3, 100, 0.999) > cp_upper(3, 100, 0.99)
         assert cp_lower(3, 100, 0.999) < cp_lower(3, 100, 0.99)
+
+    @pytest.mark.parametrize("n", [1000, 2048, 10_000, 30_001, 100_000, 200_000])
+    def test_limits_equal_beta_quantiles_bit_for_bit(self, n):
+        # the limits are the Beta quantiles scipy.stats.beta.ppf returns,
+        # to the last bit (checked on scipy 1.17.1): estimate tables and
+        # verify reports keep their bytes
+        rng = np.random.default_rng(n)
+        ks = np.unique(np.concatenate([
+            np.arange(60), [n - 2, n - 1], rng.integers(60, n - 2, size=12)]))
+        for c in (0.6, 0.9, 0.95, 0.99, 0.999, 1 - 1e-9):
+            upper = beta.ppf(c, ks + 1, n - ks)
+            lower = beta.ppf(1 - c, ks, n - ks + 1)
+            for k, hi, lo in zip(ks.tolist(), upper, lower):
+                assert cp_upper(k, n, c) == hi, (k, n, c)
+                if k > 0:
+                    assert cp_lower(k, n, c) == lo, (k, n, c)
 
 
 class TestEmpiricalTail:

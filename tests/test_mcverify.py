@@ -37,9 +37,7 @@ from smallball.simulate import (
     ProcessSpec,
     SeedSpec,
     _x_sampler,
-    drift_values_block,
     path_values_block,
-    x_values_block,
 )
 
 BM = ProcessSpec(kind="bm")
@@ -157,6 +155,18 @@ class TestEstimate:
                                      workers=workers)
         assert sizes == [pool_size]  # 1000 paths are 4 chunks
         assert pooled.to_csv_text() == serial.to_csv_text()
+
+    def test_unpicklable_job_is_a_value_error_before_the_pool(self, monkeypatch):
+        # a lambda sigma2 cannot reach a pool worker: say so up front
+        # instead of a raw PicklingError from the pool
+        def no_pool(max_workers):
+            raise AssertionError("the pool must not start")
+
+        monkeypatch.setattr("smallball.mcverify.ProcessPoolExecutor", no_pool)
+        spec = ProcessSpec(kind="gaussian", sigma2=lambda s, t: abs(t - s) ** 0.8)
+        with pytest.raises(ValueError, match="module-level function"):
+            estimate_small_ball(spec, UniformGrid(1.0, 16), [0.5], 1000, seed=2,
+                                workers=2)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_needs_at_least_one_worker(self, workers):
@@ -462,7 +472,7 @@ class TestSlices:
         sampler = _x_sampler(spec, grid, SeedSpec(6), streams, 4)
         sliced = np.concatenate([sampler.values(lo, min(lo + 4, 9)).copy()
                                  for lo in range(0, 9, 4)])
-        whole = x_values_block(spec, grid, SeedSpec(6), streams)
+        whole = path_values_block(spec, grid, SeedSpec(6), streams)
         np.testing.assert_array_equal(sliced, whole)
 
     def test_gaussian_factor_is_built_once_per_chunk(self, monkeypatch):
@@ -483,17 +493,16 @@ class TestSlices:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "79a15649b1f4074778e1a8c35213646f77678cf82c504e44eebafefbae44b59b")
 
-    def test_norm_samples_match_dense_values(self):
+    def test_norm_samples_match_dense_values(self, drift_integrand):
         shared = replace(self.SPEC, drift=DriftSpec(kind="shared_fbm"))
-        x = x_values_block(self.SPEC, self.GRID, SeedSpec(self.SEED),
-                           np.arange(self.PATHS))
+        x = path_values_block(self.SPEC, self.GRID, SeedSpec(self.SEED),
+                              np.arange(self.PATHS))
         np.testing.assert_array_equal(
             partition_norm_samples(shared, self.GRID, 2.0, self.PATHS, self.SEED),
             increment_lp(x, 2.0))
         for drift in self.DRIFTS[1:]:
             spec = replace(self.SPEC, drift=drift)
-            a = drift_values_block(spec, self.GRID, SeedSpec(self.SEED),
-                                   np.arange(self.PATHS))
+            a = drift_integrand(spec, self.GRID, self.SEED, np.arange(self.PATHS))
             for norm in (Regime.sup(), Regime.l1()):
                 np.testing.assert_array_equal(
                     drift_norm_samples(spec, self.GRID, norm, self.PATHS, self.SEED),

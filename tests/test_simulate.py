@@ -5,6 +5,8 @@ fGn autocovariance at loose statistical tolerances; everything structural
 (seeding, composition) is checked exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,10 @@ from smallball.simulate import (
     DriftSpec,
     ProcessSpec,
     SeedSpec,
-    compose_values_block,
-    drift_values_block,
     fgn_autocovariance,
     fgn_increments_block,
     iid_sums_block,
     path_values_block,
-    x_values_block,
 )
 from smallball.gausscov import IncrementalVariance, increment_covariance
 from smallball.simulate import _fgn_from_draws, _sfc64_states
@@ -144,7 +143,7 @@ class TestBlockStates:
         grid = UniformGrid(1.0, 16)
         sigma2 = lambda s, t: abs(t - s) ** 0.8
         spec = ProcessSpec(kind="gaussian", sigma2=sigma2)
-        block = x_values_block(spec, grid, SeedSpec(4), self.MIXED)
+        block = path_values_block(spec, grid, SeedSpec(4), self.MIXED)
         z = _reference_rows(SeedSpec(4), self.MIXED, lambda g: g.standard_normal(grid.N))
         factor = increment_covariance(IncrementalVariance(sigma2), grid).sampling_factor()
         expected = np.zeros((len(self.MIXED), grid.N + 1))
@@ -263,51 +262,34 @@ class TestDrift:
 
     def test_shared_drift_integrates_the_process_itself(self):
         spec = ProcessSpec(kind="fbm", H=0.3, drift=DriftSpec(kind="shared_fbm"))
-        x = x_values_block(ProcessSpec(kind="fbm", H=0.3), self.GRID, SeedSpec(8), [0, 1])
+        x = path_values_block(ProcessSpec(kind="fbm", H=0.3), self.GRID, SeedSpec(8), [0, 1])
         y = path_values_block(spec, self.GRID, SeedSpec(8), [0, 1])
         delta = self.GRID.delta
         integral = np.concatenate(
             [np.zeros((2, 1)), np.cumsum(x[:, :-1], axis=1) * delta], axis=1
         )
-        np.testing.assert_allclose(y, x + integral, atol=1e-13)
+        np.testing.assert_array_equal(y, x + integral)
 
-    def test_independent_fbm_drift_leaves_x_untouched(self):
-        # adding a random drift must not consume process draws
-        bare = ProcessSpec(kind="fbm", H=0.3)
-        with_drift = ProcessSpec(kind="fbm", H=0.3, drift=DriftSpec(kind="fbm", H2=0.6))
-        x = x_values_block(bare, self.GRID, SeedSpec(8), [0, 1])
-        x2 = x_values_block(with_drift, self.GRID, SeedSpec(8), [0, 1])
-        np.testing.assert_array_equal(x, x2)
-        y = path_values_block(with_drift, self.GRID, SeedSpec(8), [0, 1])
-        a = drift_values_block(with_drift, self.GRID, SeedSpec(8), [0, 1])
+    def test_independent_fbm_drift_leaves_x_untouched(self, drift_integrand):
+        # adding a random drift must not consume process draws: y is the
+        # driftless x plus the integral of the purpose-1 fbm, bit for bit
+        bare = ProcessSpec(kind="fbm", H=0.4)
+        with_drift = ProcessSpec(kind="fbm", H=0.4, drift=DriftSpec(kind="fbm", H2=0.6))
+        x = path_values_block(bare, self.GRID, SeedSpec(12), [0, 3])
+        y = path_values_block(with_drift, self.GRID, SeedSpec(12), [0, 3])
+        a = drift_integrand(with_drift, self.GRID, 12, [0, 3])
         integral = np.concatenate(
             [np.zeros((2, 1)), np.cumsum(a[:, :-1], axis=1) * self.GRID.delta], axis=1
         )
-        np.testing.assert_allclose(y, x + integral, atol=1e-13)
-
-    def test_drift_values_block_matches_shared_process(self):
-        spec = ProcessSpec(kind="fbm", H=0.3, drift=DriftSpec(kind="shared_fbm"))
-        a = drift_values_block(spec, self.GRID, SeedSpec(8), [0, 1, 2])
-        x = x_values_block(spec, self.GRID, SeedSpec(8), [0, 1, 2])
-        np.testing.assert_array_equal(a, x)
-
-    def test_compose_values_block_equals_path_values_block(self):
-        spec = ProcessSpec(kind="fbm", H=0.4, drift=DriftSpec(kind="fbm", H2=0.6))
-        x = x_values_block(spec, self.GRID, SeedSpec(12), [0, 3])
-        y = compose_values_block(x, spec, self.GRID, SeedSpec(12), [0, 3])
-        np.testing.assert_array_equal(
-            y, path_values_block(spec, self.GRID, SeedSpec(12), [0, 3])
-        )
+        np.testing.assert_array_equal(y, x + integral)
 
     def test_compose_drift_single_path(self):
         # a(t) = sin(pi t / 2) on t = 0, 0.5, .., 2: the left Riemann sums
         # of delta * a are 0, 0, r/2, (r+1)/2, (2r+1)/2 with r = sqrt(1/2)
         grid = UniformGrid(2.0, 4)
         wave = DriftSpec(kind="bounded_wave", amplitude=1.0, frequency=0.25)
-        x = np.array([[0.0, 1.0, 0.0, -1.0, 0.0]])
-        y = compose_values_block(
-            x, ProcessSpec(kind="bm", drift=wave), grid, SeedSpec(0), [0]
-        )
+        x = path_values_block(ProcessSpec(kind="bm"), grid, SeedSpec(0), [0])
+        y = path_values_block(ProcessSpec(kind="bm", drift=wave), grid, SeedSpec(0), [0])
         r = np.sqrt(0.5)
         np.testing.assert_allclose(
             y, x + 0.5 * np.array([0.0, 0.0, r, r + 1.0, 2.0 * r + 1.0]), atol=1e-15
@@ -320,18 +302,19 @@ class TestDrift:
         DriftSpec(kind="fbm", H2=0.6),
         DriftSpec(kind="shared_fbm"),
     ], ids=lambda d: d.kind)
-    def test_compose_integrates_drift_values(self, drift):
-        # one drift integrand serves both: y = x + left Riemann sum of a
+    def test_compose_integrates_drift_values(self, drift, drift_integrand):
+        # y = x + left Riemann sum of a, bit for bit, whatever the drift
         spec = ProcessSpec(kind="fbm", H=0.3, drift=drift)
         streams = [1, 4, 6]
-        x = x_values_block(spec, self.GRID, SeedSpec(9), streams)
-        a = drift_values_block(spec, self.GRID, SeedSpec(9), streams)
+        x = path_values_block(replace(spec, drift=DriftSpec()), self.GRID,
+                              SeedSpec(9), streams)
+        a = drift_integrand(spec, self.GRID, 9, streams)
         if drift.kind == "none":
             np.testing.assert_array_equal(a, np.zeros_like(x))
         integral = np.zeros_like(a)
         np.cumsum(a[:, :-1], axis=1, out=integral[:, 1:])
         np.testing.assert_array_equal(
-            compose_values_block(x, spec, self.GRID, SeedSpec(9), streams),
+            path_values_block(spec, self.GRID, SeedSpec(9), streams),
             x + integral * self.GRID.delta,
         )
 
