@@ -5,9 +5,11 @@ feasibility.  Each takes --config (the JSON config) and --out (the
 artifact path); simulate, estimate and verify also take --seed and
 --paths, which replace the config's `seed` and `n_paths`, and estimate and
 verify take --workers.  Configs are validated strictly: duplicate keys are
-rejected at parse time, unknown keys are rejected with a JSON-pointer
-path, and type errors point at the offending entry.  Failures, a bad
-command line included, print one JSON object {"error": {"type", "message"
+rejected at parse time, each config object accepts exactly the keys its
+parser reads (others are rejected with a JSON-pointer path), and type
+errors point at the offending entry.  Every command reads its whole config
+before it simulates, builds or writes anything.  Failures, a bad command
+line included, print one JSON object {"error": {"type", "message"
 [, "pointer"]}} on stderr and exit 2; `verify` exits 1 when any
 non-vacuous certificate is contradicted by the simulation.
 """
@@ -18,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -86,310 +89,313 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _check_keys(obj: dict, allowed, pointer: str):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{pointer}/{key}", "unknown key")
+class _Obj:
+    """One JSON object of a config at `pointer` ("" at the top level).
+
+    `take` reads a key and records it; `done` then rejects the first key
+    that no read took, so an object accepts exactly the keys its parser
+    reads, and only those of the variant it parses.
+    """
+
+    def __init__(self, data: dict, pointer: str = ""):
+        self.data = data
+        self.pointer = pointer
+        self._taken = set()
+
+    def at(self, key: str) -> str:
+        return f"{self.pointer}/{key}"
+
+    def __contains__(self, key) -> bool:
+        return key in self.data
+
+    def take(self, key, types, default=None, required=False):
+        # a dict comes back as the reader of that object
+        self._taken.add(key)
+        if key not in self.data:
+            if required:
+                raise ConfigError(self.at(key), "missing required key")
+            return default
+        val = self.data[key]
+        if types is float:
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(self.at(key), "expected a number")
+            return float(val)
+        if types is int:
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ConfigError(self.at(key), "expected an integer")
+            return int(val)
+        if not isinstance(val, types):
+            raise ConfigError(self.at(key), f"expected {types.__name__}")
+        return _Obj(val, self.at(key)) if types is dict else val
+
+    def done(self):
+        for key in self.data:
+            if key not in self._taken:
+                raise ConfigError(self.at(key), "unknown key")
 
 
-def _get(obj, key, types, pointer, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{pointer}/{key}", "missing required key")
-        return default
-    val = obj[key]
-    if types is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{pointer}/{key}", "expected a number")
-        return float(val)
-    if types is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{pointer}/{key}", "expected an integer")
-        return int(val)
-    if not isinstance(val, types):
-        raise ConfigError(f"{pointer}/{key}", f"expected {types.__name__}")
-    return val
+@contextmanager
+def _errors_at(pointer: str):
+    # a producer rejected a value the schema lets through, or a finite
+    # value overflowed inside it: a config error at `pointer`
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(pointer or "/", str(exc)) from exc
 
 
-def _get_epsilons(cfg, pointer, required=True, default=None):
+def _epsilons(obj: _Obj, default=None) -> list:
     # "epsilon" and "epsilons" are interchangeable; singular reads better
     # for one-point grids
-    if "epsilon" in cfg and "epsilons" in cfg:
-        raise ConfigError(f"{pointer}/epsilon",
+    if "epsilon" in obj and "epsilons" in obj:
+        raise ConfigError(obj.at("epsilon"),
                           "give 'epsilon' or 'epsilons', not both")
-    key = "epsilons" if "epsilons" in cfg else ("epsilon" if "epsilon" in cfg else None)
-    if key is None:
-        if required:
-            raise ConfigError(f"{pointer}/epsilons", "missing required key")
-        return list(default) if default is not None else None
-    eps = _get(cfg, key, list, pointer, required=True)
+    key = "epsilon" if "epsilon" in obj else "epsilons"
+    eps = obj.take(key, list, default=default, required=default is None)
     if not eps or not all(
         isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0 for e in eps
     ):
-        raise ConfigError(f"{pointer}/{key}", "expected a list of positive numbers")
+        raise ConfigError(obj.at(key), "expected a list of positive numbers")
     return [float(e) for e in eps]
 
 
-def _numbers(vals: list, pointer: str) -> list:
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
-        raise ConfigError(pointer, "expected a list of numbers")
+def _numbers(obj: _Obj, key: str, required=False):
+    vals = obj.take(key, list, required=required)
+    if vals is not None and not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals
+    ):
+        raise ConfigError(obj.at(key), "expected a list of numbers")
     return vals
 
 
-def _check_H(H: float, pointer: str, key: str = "H") -> float:
+def _hurst(obj: _Obj, key: str = "H", **kw) -> float:
+    H = obj.take(key, float, **kw)
     if not 0.0 < H < 1.0:
-        raise ConfigError(f"{pointer}/{key}", f"{key} must lie in (0,1)")
+        raise ConfigError(obj.at(key), f"{key} must lie in (0,1)")
     return H
 
 
-def _parse_drift(obj, pointer) -> DriftSpec:
-    _check_keys(obj, {"kind", "level", "amplitude", "frequency", "H2"}, pointer)
-    kind = _get(obj, "kind", str, pointer, required=True)
-    H2 = _get(obj, "H2", float, pointer, default=0.5)
-    if kind == "fbm":
+def _parse_drift(obj: _Obj) -> DriftSpec:
+    kind = obj.take("kind", str, required=True)
+    # each kind reads its own parameters; DriftSpec defaults the rest
+    params = {}
+    if kind == "constant":
+        params["level"] = obj.take("level", float, default=0.0)
+    elif kind == "bounded_wave":
+        params["amplitude"] = obj.take("amplitude", float, default=1.0)
+        params["frequency"] = obj.take("frequency", float, default=1.0)
+    elif kind == "fbm":
         # checked here: DriftSpec's own errors point at /kind
-        _check_H(H2, pointer, "H2")
-    try:
-        return DriftSpec(
-            kind=kind,
-            level=_get(obj, "level", float, pointer, default=0.0),
-            amplitude=_get(obj, "amplitude", float, pointer, default=1.0),
-            frequency=_get(obj, "frequency", float, pointer, default=1.0),
-            H2=H2,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{pointer}/kind", str(exc))
+        params["H2"] = _hurst(obj, "H2", default=0.5)
+    with _errors_at(obj.at("kind")):
+        spec = DriftSpec(kind=kind, **params)
+    obj.done()
+    return spec
 
 
-def _parse_process(obj, pointer) -> ProcessSpec:
-    _check_keys(obj, {"kind", "H", "drift"}, pointer)
-    kind = _get(obj, "kind", str, pointer, required=True)
+def _parse_process(obj: _Obj) -> ProcessSpec:
+    kind = obj.take("kind", str, required=True)
     if kind not in ("fbm", "bm"):
-        raise ConfigError(f"{pointer}/kind", "expected 'fbm' or 'bm'")
-    H = _get(obj, "H", float, pointer, default=0.5)
-    _check_H(H, pointer)
-    drift_obj = _get(obj, "drift", dict, pointer, default=None)
-    drift = _parse_drift(drift_obj, f"{pointer}/drift") if drift_obj else DriftSpec()
-    try:
-        return ProcessSpec(kind=kind, H=H, drift=drift)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc))
+        raise ConfigError(obj.at("kind"), "expected 'fbm' or 'bm'")
+    H = _hurst(obj, default=0.5)
+    drift = obj.take("drift", dict)
+    drift = _parse_drift(drift) if drift is not None and drift.data else DriftSpec()
+    with _errors_at(obj.pointer):
+        spec = ProcessSpec(kind=kind, H=H, drift=drift)
+    obj.done()
+    return spec
 
 
-def _parse_dist(obj, pointer) -> DistSpec:
-    _check_keys(obj, {"kind", "low", "high", "a", "b"}, pointer)
-    kind = _get(obj, "kind", str, pointer, required=True)
-    try:
+def _parse_dist(obj: _Obj) -> DistSpec:
+    kind = obj.take("kind", str, required=True)
+    with _errors_at(obj.pointer):
         if kind == "uniform":
-            return DistSpec.uniform(
-                _get(obj, "low", float, pointer, required=True),
-                _get(obj, "high", float, pointer, required=True),
+            dist = DistSpec.uniform(obj.take("low", float, required=True),
+                                    obj.take("high", float, required=True))
+        elif kind == "rademacher":
+            dist = DistSpec.rademacher()
+        elif kind == "scaled_beta":
+            dist = DistSpec.scaled_beta(
+                obj.take("a", float, required=True),
+                obj.take("b", float, required=True),
+                obj.take("low", float, required=True),
+                obj.take("high", float, required=True),
             )
-        if kind == "rademacher":
-            return DistSpec.rademacher()
-        if kind == "scaled_beta":
-            return DistSpec.scaled_beta(
-                _get(obj, "a", float, pointer, required=True),
-                _get(obj, "b", float, pointer, required=True),
-                _get(obj, "low", float, pointer, required=True),
-                _get(obj, "high", float, pointer, required=True),
-            )
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc))
-    raise ConfigError(f"{pointer}/kind", f"unknown distribution {kind!r}")
+        else:
+            raise ConfigError(obj.at("kind"), f"unknown distribution {kind!r}")
+    obj.done()
+    return dist
 
 
-def _parse_norm(obj, pointer) -> Regime:
+def _parse_norm(obj: _Obj | None) -> Regime:
     if obj is None:
         return Regime.sup()
-    _check_keys(obj, {"kind", "beta"}, pointer)
-    try:
-        return Regime(
-            kind=_get(obj, "kind", str, pointer, required=True),
-            beta=_get(obj, "beta", float, pointer, default=None),
-        )
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc))
+    with _errors_at(obj.pointer):
+        norm = Regime(kind=obj.take("kind", str, required=True),
+                      beta=obj.take("beta", float))
+    obj.done()
+    return norm
 
 
-def _parse_drift_model(obj, pointer):
+def _parse_drift_model(obj: _Obj | None):
     if obj is None:
         return None
-    _check_keys(obj, {"kind", "bound", "mean", "var"}, pointer)
-    kind = _get(obj, "kind", str, pointer, required=True)
+    kind = obj.take("kind", str, required=True)
     if kind == "bounded":
-        return drift_bounded_model(_get(obj, "bound", float, pointer, required=True))
-    if kind == "gauss_borell":
-        return drift_borell_model(
-            _get(obj, "mean", float, pointer, required=True),
-            _get(obj, "var", float, pointer, required=True),
-        )
-    raise ConfigError(f"{pointer}/kind", f"unknown drift model {kind!r}")
+        model = drift_bounded_model(obj.take("bound", float, required=True))
+    elif kind == "gauss_borell":
+        model = drift_borell_model(obj.take("mean", float, required=True),
+                                   obj.take("var", float, required=True))
+    else:
+        raise ConfigError(obj.at("kind"), f"unknown drift model {kind!r}")
+    obj.done()
+    return model
 
 
 # ---------------------------------------------------------------------------
 # bound dispatch (shared by `bound` and `verify`)
 
 
-_EPS_KEYS = {"epsilon", "epsilons"}
-
-
-def _class_constants(cfg, pointer, H) -> dict:
+def _class_constants(obj: _Obj, H: float) -> dict:
     # constants of the Gaussian increment class; beta defaults to H
     return {
         "H": H,
-        "beta": _get(cfg, "beta", float, pointer, default=H),
-        "c": _get(cfg, "c", float, pointer, default=1.0),
-        "C": _get(cfg, "C", float, pointer, default=1.0),
-        "c_deriv": _get(cfg, "c_deriv", float, pointer, default=1.0),
-        "T": _get(cfg, "T", float, pointer, default=1.0),
-        "delta_mesh": _get(cfg, "delta_mesh", float, pointer, default=None),
+        "beta": obj.take("beta", float, default=H),
+        "c": obj.take("c", float, default=1.0),
+        "C": obj.take("C", float, default=1.0),
+        "c_deriv": obj.take("c_deriv", float, default=1.0),
+        "T": obj.take("T", float, default=1.0),
+        "delta_mesh": obj.take("delta_mesh", float),
     }
 
 
-def _parse_gaussian_class(cfg, pointer) -> dict:
-    H = _check_H(_get(cfg, "H", float, pointer, required=True), pointer)
-    params = _class_constants(cfg, pointer, H)
-    params["drift_model"] = _parse_drift_model(
-        _get(cfg, "drift_model", dict, pointer, default=None),
-        f"{pointer}/drift_model")
+def _parse_gaussian_class(obj: _Obj) -> dict:
+    params = _class_constants(obj, _hurst(obj, required=True))
+    params["drift_model"] = _parse_drift_model(obj.take("drift_model", dict))
     return params
 
 
-def _parse_process_shorthand(cfg, pointer) -> dict:
-    spec = _parse_process(_get(cfg, "process", dict, pointer, required=True),
-                          f"{pointer}/process")
-    model = None
-    if spec.drift.kind != "none":
-        bound = spec.drift.sup_bound()
-        if bound is None:
-            raise ConfigError(
-                f"{pointer}/process/drift",
-                "drift has no almost-sure bound; use an explicit "
-                "gaussian_class bound with a drift_model, or an empirical "
-                "certificate built from drift samples",
-            )
-        model = drift_bounded_model(bound) if bound > 0 else None
-    params = _class_constants(cfg, pointer, spec.H)
-    params["drift_model"] = model
+def _parse_process_shorthand(obj: _Obj) -> dict:
+    process = obj.take("process", dict, required=True)
+    spec = _parse_process(process)
+    bound = spec.drift.sup_bound()
+    if bound is None:
+        raise ConfigError(
+            process.at("drift"),
+            "drift has no almost-sure bound; use an explicit "
+            "gaussian_class bound with a drift_model, or an empirical "
+            "certificate built from drift samples",
+        )
+    params = _class_constants(obj, spec.H)
+    params["drift_model"] = drift_bounded_model(bound) if bound > 0 else None
     return params
 
 
-def _parse_iid_sum(cfg, pointer) -> dict:
+def _parse_iid_sum(obj: _Obj) -> dict:
     return {
-        "dist": _parse_dist(_get(cfg, "dist", dict, pointer, required=True),
-                            f"{pointer}/dist"),
-        "n": _get(cfg, "n", int, pointer, required=True),
-        "mode": _get(cfg, "mode", str, pointer, default="PAPER_CONSTANTS"),
+        "dist": _parse_dist(obj.take("dist", dict, required=True)),
+        "n": obj.take("n", int, required=True),
+        "mode": obj.take("mode", str, default="PAPER_CONSTANTS"),
     }
 
 
-def _parse_holder_indep(cfg, pointer) -> dict:
+def _parse_holder_indep(obj: _Obj) -> dict:
     return {
-        "H": _check_H(_get(cfg, "H", float, pointer, required=True), pointer),
-        "beta": _get(cfg, "beta", float, pointer, required=True),
-        "c_inc": _get(cfg, "c_inc", float, pointer, required=True),
-        "holder_bound": _get(cfg, "holder_bound", float, pointer, required=True),
-        "T": _get(cfg, "T", float, pointer, default=1.0),
+        "H": _hurst(obj, required=True),
+        "beta": obj.take("beta", float, required=True),
+        "c_inc": obj.take("c_inc", float, required=True),
+        "holder_bound": obj.take("holder_bound", float, required=True),
+        "T": obj.take("T", float, default=1.0),
     }
 
 
-def _parse_fbm_holder(cfg, pointer) -> dict:
+def _parse_fbm_holder(obj: _Obj) -> dict:
     return {
-        "H": _check_H(_get(cfg, "H", float, pointer, required=True), pointer),
-        "beta": _get(cfg, "beta", float, pointer, required=True),
-        "c_deriv": _get(cfg, "c_deriv", float, pointer, default=1.0),
-        "T": _get(cfg, "T", float, pointer, default=1.0),
+        "H": _hurst(obj, required=True),
+        "beta": obj.take("beta", float, required=True),
+        "c_deriv": obj.take("c_deriv", float, default=1.0),
+        "T": obj.take("T", float, default=1.0),
     }
 
 
-def _parse_stationary(cfg, pointer) -> dict:
-    H = _check_H(_get(cfg, "H", float, pointer, required=True), pointer)
+def _parse_stationary(obj: _Obj) -> dict:
+    H = _hurst(obj, required=True)
     params = {
         "sigma": lambda d: d**H,
-        "Delta": _get(cfg, "Delta", float, pointer, default=1.0),
-        "T": _get(cfg, "T", float, pointer, default=1.0),
+        "Delta": obj.take("Delta", float, default=1.0),
+        "T": obj.take("T", float, default=1.0),
         # sigma(u)/sigma(v) = (u/v)^H <= 2^H for v <= u <= 2v
-        "ratio_bound": _get(cfg, "ratio_bound", float, pointer, default=2.0 ** H),
-        "symbol_sup_value": _get(cfg, "symbol_sup", float, pointer, default=None),
+        "ratio_bound": obj.take("ratio_bound", float, default=2.0 ** H),
+        "symbol_sup_value": obj.take("symbol_sup", float),
     }
     if params["symbol_sup_value"] is None:
         sup = symbol_sup(fgn_symbol(H))
-        if sup.infinite:
-            raise ConfigError(f"{pointer}/H",
+        if math.isinf(sup):
+            raise ConfigError(obj.at("H"),
                               "spectral density unbounded for H > 1/2; "
                               "supply symbol_sup explicitly")
-        params["symbol_sup_value"] = sup.value
+        params["symbol_sup_value"] = sup
     return params
 
 
-_CLASS_KEYS = {"beta", "c", "C", "c_deriv", "T", "delta_mesh",
-               "vacuous_on_infeasible"}
-
-# kind -> (allowed keys, parser, family).  The parser turns the config into
-# the keyword arguments of the family's certificate builder.  The builder is
-# named, not held, and looked up on the bounds module at each call, so that
-# wrappers installed on the module (bench/tracer.py) see every call.
+# kind -> (parser, family, forgiving).  The parser reads the kind's keys
+# into the keyword arguments of the family's certificate builder.  The
+# builder is named, not held, and looked up on the bounds module at each
+# call, so that wrappers installed on the module (bench/tracer.py) see
+# every call.  Only the forgiving (sup-norm) kinds read
+# `vacuous_on_infeasible`, which defaults to true.
 _BOUND_KINDS = {
-    "gaussian_class": (_CLASS_KEYS | {"kind", "H", "drift_model"},
-                       _parse_gaussian_class, "bound_gaussian_class"),
-    "iid_sum": ({"kind", "dist", "n", "mode"}, _parse_iid_sum,
-                "iid_sum_certificate"),
-    "holder_indep": ({"kind", "H", "beta", "c_inc", "holder_bound", "T"},
-                     _parse_holder_indep, "holder_indep_certificate"),
-    "fbm_holder": ({"kind", "H", "beta", "c_deriv", "T"}, _parse_fbm_holder,
-                   "fbm_holder_certificate"),
-    "stationary": ({"kind", "H", "Delta", "T", "ratio_bound", "symbol_sup",
-                    "vacuous_on_infeasible"},
-                   _parse_stationary, "stationary_certificate"),
+    "gaussian_class": (_parse_gaussian_class, "bound_gaussian_class", True),
+    "iid_sum": (_parse_iid_sum, "iid_sum_certificate", False),
+    "holder_indep": (_parse_holder_indep, "holder_indep_certificate", False),
+    "fbm_holder": (_parse_fbm_holder, "fbm_holder_certificate", False),
+    "stationary": (_parse_stationary, "stationary_certificate", True),
 }
 
-_SHORTHAND = (_CLASS_KEYS | {"process"}, _parse_process_shorthand,
-              "bound_gaussian_class")
+_SHORTHAND = (_parse_process_shorthand, "bound_gaussian_class", True)
+
+
+def _parse_bound(obj: _Obj) -> tuple:
+    """(family, builder keyword arguments, forgiving) of a bound config
+    object, epsilons apart: a `kind` dispatch, or the `process` shorthand
+    for gaussian_class with the class constants defaulted to 1 and the
+    drift model derived from the process drift."""
+    if "kind" not in obj and "process" in obj:
+        parse, family, forgiving = _SHORTHAND
+    else:
+        kind = obj.take("kind", str, required=True)
+        if kind not in _BOUND_KINDS:
+            raise ConfigError(obj.at("kind"), f"unknown bound kind {kind!r}")
+        parse, family, forgiving = _BOUND_KINDS[kind]
+    with _errors_at(obj.pointer):
+        params = parse(obj)
+    if forgiving:
+        forgiving = obj.take("vacuous_on_infeasible", bool, default=True)
+    return family, params, forgiving
+
+
+def _certificates(family, params, epsilons, forgiving, pointer) -> list:
+    build = getattr(_bounds, family)
+    out = []
+    with _errors_at(pointer):
+        for e in epsilons:
+            try:
+                out.append(build(epsilon=e, **params))
+            except (InfeasibleCertificateError, EpsilonTooLargeError) as exc:
+                if not forgiving:
+                    raise
+                out.append(Certificate.vacuous_certificate(
+                    e, params["T"], Regime.sup(), str(exc)))
+    return out
 
 
 def certificates_from_config(cfg: dict, pointer: str = "/") -> list:
-    """Build one certificate per epsilon from a bound config object.
-
-    Either a `kind` dispatch (gaussian_class, iid_sum, holder_indep,
-    fbm_holder, stationary) or a `process` shorthand that expands to
-    gaussian_class with class constants defaulted to 1 and the drift
-    model derived from the process drift.
-    """
-    pointer = pointer.rstrip("/")
-    try:
-        return _certificates(cfg, pointer)
-    except (ValueError, OverflowError) as exc:
-        # a producer rejected a value the schema lets through, or a finite
-        # value overflowed inside it
-        raise ConfigError(pointer or "/", str(exc)) from exc
-
-
-def _certificates(cfg, pointer):
-    if "kind" not in cfg and "process" in cfg:
-        keys, parse, family = _SHORTHAND
-    else:
-        kind = _get(cfg, "kind", str, pointer, required=True)
-        if kind not in _BOUND_KINDS:
-            raise ConfigError(f"{pointer}/kind", f"unknown bound kind {kind!r}")
-        keys, parse, family = _BOUND_KINDS[kind]
-    _check_keys(cfg, keys | _EPS_KEYS, pointer)
-    epsilons = _get_epsilons(cfg, pointer)
-    params = parse(cfg, pointer)
-    # only the sup-norm kinds that take the key forgive an infeasible radius
-    forgiving = _get(cfg, "vacuous_on_infeasible", bool, pointer,
-                     default="vacuous_on_infeasible" in keys)
-    build = getattr(_bounds, family)
-    out = []
-    for e in epsilons:
-        try:
-            out.append(build(epsilon=e, **params))
-        except (InfeasibleCertificateError, EpsilonTooLargeError) as exc:
-            if not forgiving:
-                raise
-            out.append(Certificate.vacuous_certificate(
-                e, params["T"], Regime.sup(), str(exc)))
-    return out
+    """One certificate per epsilon from a bound config object."""
+    obj = _Obj(cfg, pointer.rstrip("/"))
+    epsilons = _epsilons(obj)
+    family, params, forgiving = _parse_bound(obj)
+    obj.done()
+    return _certificates(family, params, epsilons, forgiving, obj.pointer)
 
 
 # ---------------------------------------------------------------------------
@@ -423,27 +429,28 @@ def _effective_config(cfg, args) -> dict:
 
 
 def _cmd_simulate(cfg, args):
-    _check_keys(cfg, {"process", "dist", "n", "T", "N", "n_paths", "seed"}, "")
-    if not args.out:
-        raise ConfigError("/", "simulate requires --out for the CSV artifact")
-    seed = _get(cfg, "seed", int, "", default=0)
-    n_paths = _get(cfg, "n_paths", int, "", default=1)
+    top = _Obj(cfg)
+    seed = top.take("seed", int, default=0)
+    n_paths = top.take("n_paths", int, default=1)
     if n_paths < 1:
         raise ConfigError("/n_paths", "must be >= 1")
+    # an i.i.d. walk (dist, n) or a process on a grid (process, T, N)
+    if "dist" in top:
+        dist = _parse_dist(top.take("dist", dict))
+        n = top.take("n", int, required=True)
+    else:
+        spec = _parse_process(top.take("process", dict, required=True))
+        grid = UniformGrid(top.take("T", float, default=1.0),
+                           top.take("N", int, required=True))
+    top.done()
+    if not args.out:
+        raise ConfigError("/", "simulate requires --out for the CSV artifact")
     with np.errstate(over="ignore", invalid="ignore"):
-        if "dist" in cfg:
-            dist = _parse_dist(_get(cfg, "dist", dict, ""), "/dist")
-            n = _get(cfg, "n", int, "", required=True)
+        if "dist" in top:
             values = iid_sums_block(dist, n, SeedSpec(seed), np.arange(n_paths))
             times = np.arange(n + 1, dtype=float)
             label = f"iid({dist.kind})"
         else:
-            proc_obj = _get(cfg, "process", dict, "", required=True)
-            spec = _parse_process(proc_obj, "/process")
-            grid = UniformGrid(
-                _get(cfg, "T", float, "", default=1.0),
-                _get(cfg, "N", int, "", required=True),
-            )
             values = path_values_block(spec, grid, SeedSpec(seed),
                                        np.arange(n_paths))
             times = grid.times
@@ -473,31 +480,36 @@ def _cmd_bound(cfg, args):
     return 0
 
 
-def _estimate_from_config(cfg, workers):
-    spec = _parse_process(_get(cfg, "process", dict, "", required=True),
-                          "/process")
-    T = _get(cfg, "T", float, "", default=1.0)
-    N = _get(cfg, "N", int, "", required=True)
-    epsilons = _get_epsilons(cfg, "")
-    seed = _get(cfg, "seed", int, "", default=0)
-    n_paths = _get(cfg, "n_paths", int, "", required=True)
-    norm = _parse_norm(_get(cfg, "norm", dict, "", default=None), "/norm")
-    confidence = _get(cfg, "confidence", float, "", default=0.99)
-    return estimate_small_ball(
-        spec, UniformGrid(T, N), epsilons, n_paths, seed, norm=norm,
-        confidence=confidence, workers=workers,
-    )
+_DEFAULT_EPSILONS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
 
 
-_ESTIMATE_KEYS = {"process", "T", "N", "epsilon", "epsilons", "n_paths", "seed",
-                  "norm", "confidence"}
+def _estimate_args(top: _Obj, default_suite: bool = False) -> dict:
+    """estimate_small_ball's arguments, workers apart, from an estimate
+    config; `verify` fills what its default suite leaves out."""
+    epsilons = _epsilons(top, _DEFAULT_EPSILONS if default_suite else None)
+    norm = _parse_norm(top.take("norm", dict))
+    N_default = 2048 if norm.kind == "holder" else 8192
+    return {
+        "spec": _parse_process(top.take("process", dict, required=True)),
+        "grid": UniformGrid(
+            top.take("T", float, default=1.0),
+            top.take("N", int, default=N_default, required=not default_suite)),
+        "epsilons": epsilons,
+        "n_paths": top.take("n_paths", int, default=10_000,
+                            required=not default_suite),
+        "seed": top.take("seed", int, default=0),
+        "norm": norm,
+        "confidence": top.take("confidence", float, default=0.99),
+    }
 
 
 def _cmd_estimate(cfg, args):
-    _check_keys(cfg, _ESTIMATE_KEYS, "")
+    top = _Obj(cfg)
+    est = _estimate_args(top)
+    top.done()
     if not args.out:
         raise ConfigError("/", "estimate requires --out for the CSV artifact")
-    table = _estimate_from_config(cfg, args.workers)
+    table = estimate_small_ball(**est, workers=args.workers)
     _mc.write_text_artifact(args.out, table.to_csv_text())
     return 0
 
@@ -533,42 +545,35 @@ def _read_estimates_csv(path):
 
 
 def _cmd_rate(cfg, args):
-    _check_keys(cfg, {"epsilon", "epsilons", "values", "estimates_csv", "mode",
-                      "c1", "value_window"}, "")
-    n_paths = 0
-    if "estimates_csv" in cfg:
-        eps, vals, n_paths = _read_estimates_csv(
-            _get(cfg, "estimates_csv", str, ""))
-    else:
-        eps = _get_epsilons(cfg, "")
-        vals = _numbers(_get(cfg, "values", list, "", required=True), "/values")
-    window = _get(cfg, "value_window", list, "", default=None)
-    if window is None and n_paths > 0:
-        # empirical curves carry binomial noise at the ends; keep points
-        # with at least ~50 hits and p_hat below 0.9
-        window = [50.0 / n_paths, 0.9]
-    if window is not None and len(_numbers(window, "/value_window")) != 2:
+    top = _Obj(cfg)
+    # an estimate table (estimates_csv) or an inline curve (epsilons, values)
+    csv_path = top.take("estimates_csv", str)
+    if csv_path is None:
+        eps = _epsilons(top)
+        vals = _numbers(top, "values", required=True)
+    window = _numbers(top, "value_window")
+    if window is not None and len(window) != 2:
         raise ConfigError("/value_window", "expected [lo, hi]")
+    mode = top.take("mode", str, default="RAW")
+    c1 = top.take("c1", float, default=2.0)
+    top.done()
+    if csv_path is not None:
+        eps, vals, n_paths = _read_estimates_csv(csv_path)
+        if window is None and n_paths > 0:
+            # empirical curves carry binomial noise at the ends; keep points
+            # with at least ~50 hits and p_hat below 0.9
+            window = [50.0 / n_paths, 0.9]
+    window = None if window is None else (float(window[0]), float(window[1]))
     try:
-        fit = _mc.fit_rate(
-            eps, vals,
-            mode=_get(cfg, "mode", str, "", default="RAW"),
-            c1=_get(cfg, "c1", float, "", default=2.0),
-            value_window=None if window is None
-            else (float(window[0]), float(window[1])),
-        )
+        fit = _mc.fit_rate(eps, vals, mode=mode, c1=c1, value_window=window)
     except ValueError as exc:
         raise ConfigError("/values", str(exc))
     _emit({
         **asdict(fit),
-        "value_window": None if window is None
-        else [float(window[0]), float(window[1])],
+        "value_window": None if window is None else list(window),
         "config_digest": config_digest(cfg),
     }, args.out)
     return 0
-
-
-_DEFAULT_EPSILONS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
 
 
 def _cmd_verify(cfg, args):
@@ -579,45 +584,38 @@ def _cmd_verify(cfg, args):
     certificates from the process shorthand with partitions snapped to
     the simulation grid so they nest.
     """
-    _check_keys(cfg, _ESTIMATE_KEYS | {"bound"}, "")
-    eps = _get_epsilons(cfg, "", required=False, default=_DEFAULT_EPSILONS)
-    cfg.pop("epsilon", None)
-    cfg["epsilons"] = eps
-    norm = _parse_norm(_get(cfg, "norm", dict, "", default=None), "/norm")
-    cfg.setdefault("N", 2048 if norm.kind == "holder" else 8192)
-    cfg.setdefault("n_paths", 10_000)
-    grid = UniformGrid(_get(cfg, "T", float, "", default=1.0),
-                       _get(cfg, "N", int, "", required=True))
-
-    bound_cfg = _get(cfg, "bound", dict, "", default=None)
-    bound_pointer = "/bound"
-    if bound_cfg is None:
-        # the default suite certifies the top-level process: errors point there
-        bound_cfg = {"process": _get(cfg, "process", dict, "", required=True),
-                     "T": grid.T}
-        bound_pointer = ""
-    else:
-        bound_cfg = dict(bound_cfg)
-        if _EPS_KEYS & bound_cfg.keys():
-            raise ConfigError("/bound/epsilons",
-                              "epsilons are taken from the top level")
-        # a certificate on another horizon bounds another event
-        bound_T = _get(bound_cfg, "T", float, "/bound", default=1.0)
-        if bound_T != grid.T:
-            raise ConfigError("/bound/T", f"T = {bound_T!r} differs from the "
-                              f"simulated horizon T = {grid.T!r}")
-    bound_cfg["epsilons"] = eps
-    if "kind" not in bound_cfg or bound_cfg.get("kind") == "gaussian_class":
+    top = _Obj(cfg)
+    est = _estimate_args(top, default_suite=True)
+    grid = est["grid"]
+    # the default suite certifies the top-level process: errors point there
+    bound = (top.take("bound", dict)
+             or _Obj({"process": cfg["process"], "T": grid.T}))
+    if "epsilon" in bound or "epsilons" in bound:
+        raise ConfigError("/bound/epsilons",
+                          "epsilons are taken from the top level")
+    family, params, forgiving = _parse_bound(bound)
+    # a certificate on another horizon bounds another event
+    bound_T = params.get("T", 1.0)
+    if bound_T != grid.T:
+        raise ConfigError("/bound/T", f"T = {bound_T!r} differs from the "
+                          f"simulated horizon T = {grid.T!r}")
+    bound.done()
+    top.done()
+    if family == "bound_gaussian_class" and params["delta_mesh"] is None:
         # snap certificate partitions onto the simulation grid so the
         # certified event contains the simulated discrete event
-        bound_cfg.setdefault("delta_mesh", grid.delta)
-    certs = certificates_from_config(bound_cfg, bound_pointer)
+        params["delta_mesh"] = grid.delta
+    certs = _certificates(family, params, est["epsilons"], forgiving,
+                          bound.pointer)
 
-    est_cfg = {k: v for k, v in cfg.items() if k != "bound"}
-    table = _estimate_from_config(est_cfg, args.workers)
+    table = estimate_small_ball(**est, workers=args.workers)
     report = _mc.verify_certificates(table, certs)
     payload = report.to_dict()
     payload["digest"] = table.digest
+    # the digest covers the config as the run read it: `epsilons` for
+    # `epsilon`, and the default suite's N and n_paths filled in
+    cfg.pop("epsilon", None)
+    cfg.update(epsilons=est["epsilons"], N=grid.N, n_paths=est["n_paths"])
     payload["config_digest"] = config_digest(cfg)
     _emit(payload, args.out, report.to_csv_text())
     return 0 if report.ok else 1
@@ -626,16 +624,17 @@ def _cmd_verify(cfg, args):
 def _cmd_toeplitz(cfg, args):
     """Convergence table: top eigenvalue of the increment correlation
     matrix against the spectral-density supremum, per matrix size."""
-    _check_keys(cfg, {"H", "N"}, "")
-    H = _check_H(_get(cfg, "H", float, "", required=True), "")
-    raw = cfg.get("N", [64, 256, 1024, 4096])
+    top = _Obj(cfg)
+    H = _hurst(top, required=True)
+    raw = top.take("N", object, default=[64, 256, 1024, 4096])
     sizes = [raw] if isinstance(raw, int) else raw
     if not (isinstance(sizes, list) and sizes
             and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2
                     for n in sizes)):
         raise ConfigError("/N", "expected an integer >= 2 or a list of them")
+    top.done()
     sup = symbol_sup(fgn_symbol(H))
-    sup_out = "INFINITE" if sup.infinite else sup.value
+    sup_out = "INFINITE" if math.isinf(sup) else sup
     rows = []
     for n in sizes:
         # delta = 1 makes Gamma the correlation matrix (unit diagonal);
@@ -647,17 +646,18 @@ def _cmd_toeplitz(cfg, args):
         "H": H, "symbol_sup": sup_out, "rows": rows,
         "config_digest": config_digest(cfg),
     }
-    sup_txt = sup_out if sup.infinite else repr(sup_out)
+    sup_txt = sup_out if math.isinf(sup) else repr(sup_out)
     csv = "".join(f"{r['N']},{r['lambda_max']!r},{sup_txt}\n" for r in rows)
     _emit(payload, args.out, "N,lambda_max,symbol_sup\n" + csv)
     return 0
 
 
 def _cmd_feasibility(cfg, args):
-    _check_keys(cfg, {"H", "beta", "theta"}, "")
-    H = _check_H(_get(cfg, "H", float, "", required=True), "")
-    beta = _get(cfg, "beta", float, "", required=True)
-    theta = _get(cfg, "theta", float, "", required=True)
+    top = _Obj(cfg)
+    H = _hurst(top, required=True)
+    beta = top.take("beta", float, required=True)
+    theta = top.take("theta", float, required=True)
+    top.done()
     payload = _bounds.representation_feasibility(H, beta, theta).to_dict()
     payload["config_digest"] = config_digest(cfg)
     _emit(payload, args.out)

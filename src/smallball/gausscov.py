@@ -28,7 +28,6 @@ __all__ = [
     "IncrementalVariance",
     "IncrementCovariance",
     "SpectralSymbol",
-    "SymbolSup",
     "sigma2_fbm",
     "increment_covariance",
     "toeplitz_eig_enclosure",
@@ -441,10 +440,6 @@ class SpectralSymbol:
     H: float
     const: float
 
-    @property
-    def bounded(self) -> bool:
-        return self.H <= 0.5
-
     def evaluate(self, lam) -> np.ndarray:
         """f(lam) in closed form, with s = 1+2H and a = lam/2pi:
 
@@ -474,19 +469,13 @@ def fgn_symbol(H: float) -> SpectralSymbol:
     return SpectralSymbol(H=H, const=const)
 
 
-@dataclass(frozen=True)
-class SymbolSup:
-    value: float
-    infinite: bool
-
-
 # relative; covers the rounding of f(pi) (at most 2e-15 against mpmath)
 # and keeps the H = 1/2 Toeplitz enclosure end 1 + 1.4e-14 below
 _SUP_MARGIN = 1e-13
 
 
-def symbol_sup(symbol: SpectralSymbol) -> SymbolSup:
-    """sup f over [-pi, pi]: f(pi) (1 + 1e-13) for H <= 1/2, else +inf.
+def symbol_sup(symbol: SpectralSymbol) -> float:
+    """sup f over [-pi, pi]: f(pi) (1 + 1e-13) for H <= 1/2, else math.inf.
 
     For H < 1/2 the density increases on [0, pi] and f is flat at
     H = 1/2, so the supremum is f(pi) = (8 / pi^{1+2H}) sin(pi H)
@@ -496,7 +485,6 @@ def symbol_sup(symbol: SpectralSymbol) -> SymbolSup:
     checks it.  The margin makes the value an upper bound despite the
     rounding of f(pi).
     """
-    if not symbol.bounded:
-        return SymbolSup(value=math.inf, infinite=True)
-    return SymbolSup(value=symbol.evaluate(math.pi) * (1.0 + _SUP_MARGIN),
-                     infinite=False)
+    if symbol.H > 0.5:
+        return math.inf
+    return symbol.evaluate(math.pi) * (1.0 + _SUP_MARGIN)

@@ -327,7 +327,7 @@ def _build_c6(workers):
     rows = []
     summary = {}
     for H in (0.3, 0.35, 0.45, 0.5):
-        sup = symbol_sup(fgn_symbol(H)).value
+        sup = symbol_sup(fgn_symbol(H))
         lams = []
         for n in sizes:
             # delta = 1: the correlation matrix, spacing-invariant

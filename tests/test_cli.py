@@ -522,6 +522,89 @@ class TestArguments:
         assert out.read_bytes() == keys_csv
 
 
+_BM = {"process": {"kind": "bm"}, "N": 8}
+_IID = {"dist": {"kind": "rademacher"}, "n": 4}
+_CLASS = {"kind": "gaussian_class", "H": 0.3, "epsilons": [0.1]}
+
+
+def _with_drift(drift):
+    return {"process": {"kind": "bm", "drift": drift}, "N": 8}
+
+
+class TestUnknownKeys:
+    """Each config object accepts only the keys of the variant it
+    describes: a key that another variant reads is rejected, not ignored."""
+
+    @pytest.mark.parametrize("command,config,pointer", [
+        ("simulate", {**_IID, "N": 8}, "/N"),
+        ("simulate", {**_IID, "T": 2.0}, "/T"),
+        ("simulate", {**_BM, "n": 4}, "/n"),
+        ("rate", {"estimates_csv": "ESTIMATES", "values": [0.5]}, "/values"),
+        ("rate", {"estimates_csv": "ESTIMATES", "epsilons": [0.5]},
+         "/epsilons"),
+        ("simulate", {**_IID, "dist": {"kind": "rademacher", "low": -5}},
+         "/dist/low"),
+        ("simulate", {**_IID, "dist": {"kind": "uniform", "low": -1, "high": 1,
+                                       "a": 2}}, "/dist/a"),
+        ("bound", {**_CLASS, "drift_model": {"kind": "bounded", "bound": 0.01,
+                                             "mean": 0.5}},
+         "/drift_model/mean"),
+        ("bound", {**_CLASS, "drift_model": {"kind": "gauss_borell", "mean": 0.5,
+                                             "var": 0.25, "bound": 0.01}},
+         "/drift_model/bound"),
+        ("simulate", _with_drift({"kind": "constant", "level": 0.1,
+                                  "amplitude": 3}), "/process/drift/amplitude"),
+        ("simulate", _with_drift({"kind": "constant", "H2": 0.3}),
+         "/process/drift/H2"),
+        ("simulate", _with_drift({"kind": "bounded_wave", "level": 0.1}),
+         "/process/drift/level"),
+        ("simulate", _with_drift({"kind": "shared_fbm", "H2": 0.3}),
+         "/process/drift/H2"),
+    ], ids=["simulate-dist-N", "simulate-dist-T", "simulate-process-n",
+            "rate-csv-values", "rate-csv-epsilons", "rademacher-low",
+            "uniform-a", "bounded-mean", "gauss_borell-bound",
+            "constant-amplitude", "constant-H2", "bounded_wave-level",
+            "shared_fbm-H2"])
+    def test_variant_foreign_key(self, command, config, pointer, tmp_path,
+                                 capsys):
+        if config.get("estimates_csv") == "ESTIMATES":
+            table = tmp_path / "estimates.csv"
+            table.write_text("epsilon,p_hat\n0.3,0.01\n0.4,0.05\n0.5,0.1\n")
+            config = {**config, "estimates_csv": str(table)}
+        code, _, err = run_cli(tmp_path, capsys, command, config,
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert parse_error(err) == {"type": "config", "pointer": pointer,
+                                    "message": "unknown key"}
+
+    @pytest.mark.parametrize("command,config,pointer", [
+        ("simulate", {**_BM, "n": 4}, "/n"),
+        ("estimate", {**_with_drift({"kind": "constant", "amplitude": 3}),
+                      "N": 64, "epsilons": [0.5], "n_paths": 1000},
+         "/process/drift/amplitude"),
+        ("verify", {**_with_drift({"kind": "constant", "level": 0.1,
+                                   "amplitude": 3}),
+                    "N": 64, "epsilons": [0.5], "n_paths": 1000},
+         "/process/drift/amplitude"),
+        ("bound", {**_CLASS, "drift_model": {"kind": "bounded", "bound": 0.01,
+                                             "mean": 0.5}},
+         "/drift_model/mean"),
+    ], ids=["simulate", "estimate", "verify", "bound"])
+    def test_config_is_closed_before_any_work(self, command, config, pointer,
+                                              tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the config was read")
+
+        monkeypatch.setattr("smallball.cli.path_values_block", fail)
+        monkeypatch.setattr("smallball.cli.estimate_small_ball", fail)
+        monkeypatch.setattr("smallball.bounds.bound_gaussian_class", fail)
+        code, _, err = run_cli(tmp_path, capsys, command, config,
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert parse_error(err) == {"type": "config", "pointer": pointer,
+                                    "message": "unknown key"}
+
+
 class TestGoldenBytes:
     """Certificate, feasibility, rate and verify JSON and estimate CSVs,
     byte for byte.
@@ -675,10 +758,12 @@ class TestProducerErrors:
                                     "message": f"{table}: {message}"}
 
 
-# Fuzzed configs start from a valid config of each shape and replace or
-# delete one or two keys (nested keys included) with a value from a small
-# pool of valid and invalid values, then add zero or one flag from a pool of
-# valid and invalid --seed/--paths/--workers values.  Bases and pools keep
+# Fuzzed configs start from a valid config of each shape and make one or two
+# edits: replace or delete a key (nested keys included) or insert one into
+# any object, with a value from a small pool of valid and invalid values;
+# inserted keys are key names the CLI reads somewhere, or one it reads
+# nowhere.  Then they add zero or one flag from a pool of valid and invalid
+# --seed/--paths/--workers values.  Bases and pools keep
 # every run cheap: grids of at most 64 steps, at most 1000 paths (the fewest
 # an estimate accepts), at most 2 workers, and radii and exponents for which
 # the certificate witness grids stay small.
@@ -720,6 +805,15 @@ _FUZZ_VALUES = st.sampled_from([
     "x", "fbm", True, None, [], [0.3], {}, {"kind": "bm"},
     float("inf"), float("nan"), 1e308, -1e308,
 ])
+_FUZZ_KEYS = st.sampled_from([
+    "command", "process", "dist", "kind", "H", "drift", "level", "amplitude",
+    "frequency", "H2", "low", "high", "a", "b", "n", "T", "N", "n_paths",
+    "seed", "epsilon", "epsilons", "norm", "confidence", "bound", "beta", "c",
+    "C", "c_deriv", "delta_mesh", "drift_model", "mean", "var",
+    "vacuous_on_infeasible", "mode", "c_inc", "holder_bound", "Delta",
+    "ratio_bound", "symbol_sup", "estimates_csv", "values", "value_window",
+    "c1", "theta", "unread_key",
+])
 _FUZZ_FLAGS = st.sampled_from([
     ("--seed", "0"), ("--seed", "7"), ("--seed", "-1"), ("--seed", "x"),
     ("--seed", str(2**64)), ("--paths", "1"), ("--paths", "1000"),
@@ -735,19 +829,31 @@ def _key_paths(obj, prefix=()):
             yield from _key_paths(val, prefix + (key,))
 
 
+def _objects(obj):
+    yield obj
+    for val in obj.values():
+        if isinstance(val, dict):
+            yield from _objects(val)
+
+
 @st.composite
 def _fuzzed_configs(draw):
     command, base = draw(st.sampled_from(_FUZZ_BASES))
     config = copy.deepcopy(base)
     paths = list(_key_paths(base))
     for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.integers(0, 4))
+        if edit == 4:
+            target = draw(st.sampled_from(list(_objects(config))))
+            target[draw(_FUZZ_KEYS)] = copy.deepcopy(draw(_FUZZ_VALUES))
+            continue
         path = draw(st.sampled_from(paths))
         parent = config
         for key in path[:-1]:
             parent = parent.get(key) if isinstance(parent, dict) else None
         if not isinstance(parent, dict):
             continue  # an earlier edit replaced or deleted the parent
-        if draw(st.integers(0, 3)) == 0:
+        if edit == 0:
             parent.pop(path[-1], None)
         else:
             parent[path[-1]] = copy.deepcopy(draw(_FUZZ_VALUES))

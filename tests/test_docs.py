@@ -1,5 +1,6 @@
 """Every library name that the README and the demos refer to exists, and
-the README's CLI flags and bound-kind keys are the ones the CLI takes.
+the README's CLI flags and the keys of each bound, dist, drift and
+drift_model kind are the ones the CLI takes.
 
 Static only: the demos are parsed, never run.
 """
@@ -71,12 +72,48 @@ def test_readme_names_the_estimate_header():
     assert f"`{header}`" in README.read_text()
 
 
+def _documented_kinds(heading):
+    """{kind: keys} from the README paragraph "<heading>: `kind` (keys), ..."."""
+    paragraph = README.read_text().split(f"{heading}: ", 1)[1].split("\n\n")[0]
+    return {kind: set(re.findall(r"`(\w+)`", keys))
+            for kind, keys in re.findall(r"`(\w+)` \(([^)]*)\)", paragraph)}
+
+
+def _keys_read(parse, kind, config):
+    # a config object accepts exactly the keys its parser reads
+    obj = cli._Obj({"kind": kind, **config})
+    parse(obj)
+    obj.done()
+    return obj._taken - {"kind"}
+
+
 def test_readme_bound_kind_keys_match_the_cli():
-    paragraph = README.read_text().split("Bound kinds: ", 1)[1].split("\n\n")[0]
-    documented = {kind: set(re.findall(r"`(\w+)`", keys))
-                  for kind, keys in re.findall(r"`(\w+)` \(([^)]*)\)", paragraph)}
-    assert documented == {kind: keys - {"kind"}
-                          for kind, (keys, _, _) in cli._BOUND_KINDS.items()}
+    minimal = {
+        "gaussian_class": {"H": 0.3},
+        "iid_sum": {"dist": {"kind": "rademacher"}, "n": 4},
+        "holder_indep": {"H": 0.3, "beta": 0.5, "c_inc": 1.0,
+                         "holder_bound": 1.0},
+        "fbm_holder": {"H": 0.4, "beta": 0.2},
+        "stationary": {"H": 0.3},
+    }
+    assert _documented_kinds("Bound kinds") == {
+        kind: _keys_read(cli._parse_bound, kind, minimal[kind])
+        for kind in cli._BOUND_KINDS}
+
+
+@pytest.mark.parametrize("heading,parse,minimal", [
+    ("Dist kinds", cli._parse_dist, {
+        "uniform": {"low": -1.0, "high": 1.0}, "rademacher": {},
+        "scaled_beta": {"a": 2.0, "b": 2.0, "low": -1.0, "high": 1.0}}),
+    ("Drift kinds", cli._parse_drift, {
+        "none": {}, "constant": {}, "bounded_wave": {}, "fbm": {},
+        "shared_fbm": {}}),
+    ("Drift model kinds", cli._parse_drift_model, {
+        "bounded": {"bound": 0.1}, "gauss_borell": {"mean": 0.0, "var": 1.0}}),
+], ids=["dist", "drift", "drift_model"])
+def test_readme_spec_kind_keys_match_the_cli(heading, parse, minimal):
+    assert _documented_kinds(heading) == {
+        kind: _keys_read(parse, kind, config) for kind, config in minimal.items()}
 
 
 def test_readme_flags_match_the_parser():

@@ -331,17 +331,17 @@ class TestSpectralSymbol:
         np.testing.assert_allclose(sym.evaluate(lam), 1.0, atol=1e-9)
 
     def test_sup_frozen_values(self):
-        assert symbol_sup(fgn_symbol(0.3)).value == pytest.approx(
+        assert symbol_sup(fgn_symbol(0.3)) == pytest.approx(
             1.418718056550768, rel=1e-9
         )
-        assert symbol_sup(fgn_symbol(0.45)).value == pytest.approx(
+        assert symbol_sup(fgn_symbol(0.45)) == pytest.approx(
             1.105896028035461, rel=1e-9
         )
 
     def test_h_half_sup_is_one_within_margin(self):
         # the density is exactly 1; the bound is the margin on top of
         # f(pi), itself within 4e-16 of 1
-        value = symbol_sup(fgn_symbol(0.5)).value
+        value = symbol_sup(fgn_symbol(0.5))
         assert 1.0 <= value <= (1.0 + 1e-13) * (1.0 + 4e-16)
 
     @pytest.mark.parametrize("H", [0.02, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7, 0.95])
@@ -372,7 +372,7 @@ class TestSpectralSymbol:
         k = int(np.argmax(sym.evaluate(lam)))
         fine = np.linspace(lam[max(k - 1, 0)], lam[min(k + 1, 2048)], 2049)
         scan = float(np.max(sym.evaluate(fine)))
-        assert scan <= symbol_sup(sym).value <= scan * (1.0 + 1e-13 + 4e-16)
+        assert scan <= symbol_sup(sym) <= scan * (1.0 + 1e-13 + 4e-16)
 
     def test_antipersistent_sup_is_at_pi(self):
         # for H < 1/2 the density increases toward the Nyquist frequency,
@@ -382,16 +382,14 @@ class TestSpectralSymbol:
             sym = fgn_symbol(H)
             f = sym.evaluate(lam)
             assert np.all(np.diff(f) >= -4e-16 * f[1:])
-            assert symbol_sup(sym).value == pytest.approx(sym.evaluate(math.pi),
-                                                          rel=1e-12)
+            assert symbol_sup(sym) == pytest.approx(sym.evaluate(math.pi),
+                                                    rel=1e-12)
 
     def test_persistent_symbol_unbounded(self):
-        res = symbol_sup(fgn_symbol(0.7))
-        assert res.infinite
-        assert math.isinf(res.value)
+        assert math.isinf(symbol_sup(fgn_symbol(0.7)))
 
     def test_toeplitz_eigenvalues_approach_sup_from_below(self):
-        sym_sup = symbol_sup(fgn_symbol(0.3)).value
+        sym_sup = symbol_sup(fgn_symbol(0.3))
         last = 0.0
         for N in (16, 64, 256):
             grid = UniformGrid(float(N), N)
