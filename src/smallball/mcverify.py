@@ -32,6 +32,7 @@ from .concentration import cp_lower, cp_upper
 from .errors import InvalidComparisonError
 from .paths import UniformGrid, increment_lp
 from .simulate import (
+    _SLICE_VALUES,
     ProcessSpec,
     SeedSpec,
     _Drift,
@@ -244,11 +245,11 @@ def _slices(n: int, N: int):
     """(rows, [(lo, hi), ..]): the row slices of a chunk of n paths on N
     steps, and the rows of the largest.
 
-    A slice holds max(1, 2^16 // N) rows, at most CHUNK: about 2^16 values,
-    so that the slice's buffers stay in a 2 MiB L2 cache from the draws to
-    the counts (8 rows at N = 8192, 64 at N = 1024).
+    A slice holds max(1, _SLICE_VALUES // N) rows, at most CHUNK: about 2^16
+    values, so that the slice's buffers stay in a 2 MiB L2 cache from the
+    draws to the counts (8 rows at N = 8192, 64 at N = 1024).
     """
-    rows = min(n, CHUNK, max(1, 2 ** 16 // N))
+    rows = min(n, CHUNK, max(1, _SLICE_VALUES // N))
     return rows, [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 

@@ -19,8 +19,10 @@ independent fbm drift) and ``_Drift`` (the composition y = x + int a) do
 their set-up once per block of streams and then run draws, spectral fill,
 irfft, running sums and composition on one row slice at a time, in place,
 in buffers every slice reuses.  The Monte Carlo chunks of ``mcverify``
-(the pool and reduction unit) pass slices of about 2^16 values, the cache
-unit; the public blocks, ``fgn_increments_block`` (fGn increments) and
+(the pool and reduction unit) pass slices of about 2^16 values
+(``_SLICE_VALUES``), the cache unit, and an fGn slice is drawn and
+transformed that many values at a time, one path at a time for longer
+paths; the public blocks, ``fgn_increments_block`` (fGn increments) and
 ``path_values_block`` (values of y), pass their whole block as one slice.
 A row's bytes do not depend on the slice it is sampled in.
 """
@@ -50,6 +52,9 @@ __all__ = [
 
 PURPOSE_PROCESS = 0
 PURPOSE_DRIFT = 1
+
+# values per row slice: about what a 2 MiB L2 cache holds with its buffers
+_SLICE_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -287,16 +292,29 @@ class _Sampler:
             # drawn where their running sums go
             self._draws = self._inc = self._values[:, 1:]
         else:
-            # each path draws its half-spectrum in place, as (Re_k, Im_k)
-            self._draws = np.empty((rows, N + 1), dtype=complex).view(float)
+            # each path draws its half-spectrum in place, as (Re_k, Im_k),
+            # into a buffer of about _SLICE_VALUES values
+            fill = max(1, min(rows, _SLICE_VALUES // N))
+            self._draws = np.empty((fill, N + 1), dtype=complex).view(float)
             self._wave = np.empty((rows, 2 * N))
             self._inc = self._wave[:, :N]
 
     def increments(self, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, N) increments of rows lo..hi-1 of the block."""
         r = hi - lo
+        rngs = _generators(self._states[lo:hi], self._rng)
+        if self._factor is None and self._H != 0.5:
+            # a draws buffer at a time, transformed while still in cache
+            fill = len(self._draws)
+            for a in range(0, r, fill):
+                draws = self._draws[: min(fill, r - a)]
+                for row, rng in zip(draws, rngs):
+                    rng.standard_normal(out=row)
+                _fgn_from_draws(self._H, self._N, self._delta, draws,
+                                out=self._wave[a : a + len(draws)])
+            return self._inc[:r]
         draws = self._draws[:r]
-        for row, rng in zip(draws, _generators(self._states[lo:hi], self._rng)):
+        for row, rng in zip(draws, rngs):
             rng.standard_normal(out=row)
         if self._factor is not None:
             # numpy takes a one-row product through gemv, whose sums differ
@@ -304,10 +322,8 @@ class _Sampler:
             # the row count: a lone row is multiplied with a stale neighbour
             m = min(max(r, 2), len(self._draws))
             np.matmul(self._draws[:m], self._factor.T, out=self._inc[:m])
-        elif self._H == 0.5:
-            draws *= self._delta**self._H
         else:
-            _fgn_from_draws(self._H, self._N, self._delta, draws, out=self._wave[:r])
+            draws *= self._delta**self._H
         return self._inc[:r]
 
     def values(self, lo: int, hi: int) -> np.ndarray:
