@@ -489,7 +489,7 @@ def _estimate_args(top: _Obj, default_suite: bool = False) -> dict:
     epsilons = _epsilons(top, _DEFAULT_EPSILONS if default_suite else None)
     norm = _parse_norm(top.take("norm", dict))
     N_default = 2048 if norm.kind == "holder" else 8192
-    return {
+    args = {
         "spec": _parse_process(top.take("process", dict, required=True)),
         "grid": UniformGrid(
             top.take("T", float, default=1.0),
@@ -501,6 +501,11 @@ def _estimate_args(top: _Obj, default_suite: bool = False) -> dict:
         "norm": norm,
         "confidence": top.take("confidence", float, default=0.99),
     }
+    # checked here, so that verify fails before it builds a certificate
+    if args["n_paths"] < _mc._MIN_PATHS:
+        raise ConfigError(top.at("n_paths"), f"must be >= {_mc._MIN_PATHS} "
+                          "for a meaningful estimate")
+    return args
 
 
 def _cmd_estimate(cfg, args):

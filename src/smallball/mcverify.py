@@ -63,6 +63,13 @@ __all__ = [
 # results cannot depend on the worker count
 CHUNK = 256
 
+# the fewest paths an estimate accepts
+_MIN_PATHS = 1000
+
+# the Holder counter scans lags below _WALK one at a time, then walks dyadic
+# lag blocks from lag _WALK
+_WALK = 4
+
 
 # the path norm of the small-deviation event is the certificate's regime
 NormSpec = Regime
@@ -80,63 +87,77 @@ def _norms_block(values: np.ndarray, delta: float, norm: Regime) -> np.ndarray:
 def _holder_counts(values, delta, beta, epsilons):
     """Exact indicator counts for the Holder ball over sorted radii.
 
-    Each row keeps a running maximum over (start, lag) pairs of the term
-    |v[t+lag] - v[t]| / (lag*delta)**beta, computed with the expression of
-    ``paths.holder_norm_batch``, and is dropped once it exceeds
-    max(epsilons).  Lags 1-15 are scanned on every live row; the rest come
-    in dyadic blocks [lo, hi), lo = 2^j >= 16, hi = min(2*lo, N+1).
-    Before a block, sliding max and min tables over lo points (extended by
-    doubling) give, for each start t <= N - lo, the max M and min m of
-    v over the window [t+lo, t+2*lo), clipped at the path end to the last
-    table column, a window that still holds every v[t+lag] of the block.
-    So b(t) = max(M - v[t], v[t] - m) / (lo*delta)**beta bounds every term
-    of start t in the block.  The row's threshold is the smallest radius
-    at or above its running value, read once at block start.  Only the
-    (row, start) pairs with b(t) above the threshold, less a relative
-    slack of 1e-12, are evaluated exactly; the test is made in difference
-    units, max(M - v[t], v[t] - m) > threshold * (lo*delta)**beta *
-    (1 - 1e-12), one product per row.  The exact pass gathers
-    v[t+lo : t+hi] of each such pair, in pieces of at most 2^16 terms,
-    masks the lags past N and raises the running value to the pair's
-    maximum.
+    Each row keeps a running value, a maximum over (start, lag) pairs of
+    the term |v[t+lag] - v[t]| / (lag*delta)**beta, each term computed
+    with the expression of ``paths.holder_norm_batch`` (a lag's scale is
+    the Python float (lag*delta)**beta: numpy's array power is not
+    bit-identical to it), and is dropped once that value exceeds
+    max(epsilons).  The scan has three parts:
 
-    The counts equal those of full norms.  Every skipped term lies at or
-    below b(t), hence at or below the threshold read at block start.  The
-    running value only grows, so that threshold stays at or below the
-    smallest radius at or above the running value, and the running value
-    and the full norm fall between the same two radii.  The bound holds in
-    floating point: subtraction is monotone, so |fl(a - b)| <= fl(M - b)
-    or fl(b - m) for a inside the window, and the slack covers the
-    rounding of the threshold product and of ``pow``, which is not
-    correctly rounded.  Each lag's scale is the Python float
-    (lag*delta)**beta, as in the dense norm; numpy's array power is not
-    bit-identical to it.
+    1. The floor.  The running value starts at the largest term over the
+       pairs of a subgrid of 33 points, stride max(1, N // 32) (every
+       point when N < 32), so rows far outside the largest radius leave
+       before any table is built and the blocks below screen against a
+       near-final threshold.
+    2. Lags 1 to _WALK - 1, one at a time on every live row.
+    3. Dyadic lag blocks [lo, hi), lo = 2^j >= _WALK, hi = min(2*lo, N+1).
+       Before a block, sliding max and min tables over lo points
+       (extended by doubling) give the max and min of v over every width-lo
+       window; column c covers v[c : c+lo], and a column past the last
+       one, N + 1 - lo, is clipped to it, which covers every point from
+       there to N.  Start t's terms read v[t+lo : t+hi], inside column
+       t + lo.  The starts come in cells of lo: cell i holds the starts
+       i*lo .. (i+1)*lo - 1 (the last cell may be partial; a block with
+       at most lo starts is one cell).  Column i*lo holds the max and min
+       of the cell's own v[t], and columns (i+1)*lo and (i+2)*lo together
+       hold every window of the cell, so with M, m the window max and
+       min and M0, m0 the starts' max and min,
+       max(M - m0, M0 - m) / (lo*delta)**beta bounds every term of the
+       cell in the block.  Inside each cell whose bound beats the cut, the
+       same test runs per start on column t + lo, and only the (row,
+       start) pairs that pass it are evaluated exactly: v[t+lo : t+hi] of
+       each pair is gathered, in pieces of at most 2^16 terms, the lags
+       past N masked, and the running value raised to the pair's maximum.
+       The cut is the row's threshold, the smallest radius at or above its
+       running value read once at block start, less a relative slack of
+       1e-12; the test is made in difference units, bound > threshold *
+       (lo*delta)**beta * (1 - 1e-12), one product per row.
+
+    The counts equal those of full norms.  Every term the scan evaluates
+    is a term of the norm, so the running value stays at or below it.
+    Every skipped term lies at or below its cell's or its start's bound,
+    hence at or below the threshold read at block start.  The running value
+    only grows, so that threshold stays at or below the smallest radius at
+    or above the running value, and the running value and the full norm
+    fall between the same two radii.  The bounds hold in floating point:
+    the windows are supersets and subtraction is monotone, so
+    |fl(a - b)| <= fl(M - b') or fl(b' - m) for a in the window and b'
+    the starts' min or max, and the slack covers the rounding of the
+    threshold product and of ``pow``, which is not correctly rounded.
     """
     eps = np.asarray(epsilons, dtype=float)
     above = np.append(eps, np.inf)  # smallest radius >= value; inf once out
     n = values.shape[1] - 1
-    running = np.zeros(values.shape[0])
-
-    # lags 1-15 one at a time: rows that leave within 15 lags never pay
-    # for the range tables
-    act, sub = np.arange(values.shape[0]), values
-    for lag in range(1, min(n, 15) + 1):
+    running = _subgrid_floor(values, delta, beta)
+    act = np.flatnonzero(running <= eps[-1])
+    sub = values[act]
+    for lag in range(1, min(n, _WALK - 1) + 1):
+        if act.size == 0:
+            break
         dev = _abs_max(sub[:, lag:] - sub[:, :-lag]) / (lag * delta) ** beta
         cur = np.maximum(running[act], dev)
         running[act] = cur
         keep = cur <= eps[-1]
         if not keep.all():
             act, sub = act[keep], sub[keep]
-            if act.size == 0:
-                break
-    if n >= 16 and act.size:
+    if n >= _WALK and act.size:
         # gathered windows run up to hi - lo - 1 <= N // 2 points past the
         # path end; those lags are masked, so the padding is immaterial
         v = np.zeros((act.size, n + 1 + n // 2))
         v[:, : n + 1] = sub
         del sub
         hi_max = lo_min = v[:, : n + 1]
-        width, lo = 1, 16
+        width, lo = 1, _WALK
         while lo <= n and act.size:
             hi = min(2 * lo, n + 1)
             while width < lo:
@@ -146,7 +167,7 @@ def _holder_counts(values, delta, beta, epsilons):
                 width += step
             thr = above[np.searchsorted(eps, running[act])]
             cut = thr * ((lo * delta) ** beta * (1.0 - 1e-12))
-            rows, starts = _block_starts(v[:, : n + 1 - lo], hi_max, lo_min, lo, cut)
+            rows, starts = _cell_starts(v, hi_max, lo_min, lo, cut)
             if rows.size:
                 scale = np.array([(lag * delta) ** beta for lag in range(lo, hi)])
                 maxima = _pair_maxima(v, rows, starts, lo, scale, n)
@@ -162,27 +183,45 @@ def _holder_counts(values, delta, beta, epsilons):
     return np.array([(running <= e).sum() for e in eps], dtype=np.int64)
 
 
+def _subgrid_floor(values, delta, beta):
+    """Largest term of each row over the point pairs of a 33-point subgrid."""
+    s = max(1, (values.shape[1] - 1) // 32)
+    g = values[:, : 32 * s + 1 : s]
+    i, j = np.triu_indices(g.shape[1], 1)
+    scale = np.array([(k * s * delta) ** beta for k in range(g.shape[1])])
+    terms = np.abs(g[:, j] - g[:, i])
+    terms /= scale[j - i]
+    return terms.max(axis=1, initial=0.0)
+
+
 def _abs_max(x):
     """max |x| of each row, without an abs temporary."""
     return np.maximum(x.max(axis=1), -x.min(axis=1))
 
 
-def _block_starts(vt, hi_max, lo_min, lo, cut):
+def _cell_starts(v, hi_max, lo_min, lo, cut):
     """(row, start) pairs of block [lo, hi) whose start bound exceeds cut.
 
-    Start t reads column t + lo of the width-lo tables, clipped to the last
-    column; ``vt`` holds v at the starts 0..N-lo.
+    ``hi_max`` and ``lo_min`` are the width-lo tables; a cell of lo starts
+    is screened first, then each start of a cell that passes.
     """
-    inside = max(0, hi_max.shape[1] - lo)  # starts whose column is not clipped
-    cut = cut[:, None]
-    gap = np.empty_like(vt)
-    np.subtract(hi_max[:, lo:], vt[:, :inside], out=gap[:, :inside])
-    np.subtract(hi_max[:, -1:], vt[:, inside:], out=gap[:, inside:])
-    hit = gap > cut
-    np.subtract(vt[:, :inside], lo_min[:, lo:], out=gap[:, :inside])
-    np.subtract(vt[:, inside:], lo_min[:, -1:], out=gap[:, inside:])
-    hit |= gap > cut
-    return np.nonzero(hit)
+    last = hi_max.shape[1] - 1  # N + 1 - lo: the last column and the start count
+    cells = -(-last // lo)
+    col = np.minimum(np.arange(cells + 2) * lo, last)
+    top, bot = hi_max[:, col], lo_min[:, col]
+    c = cut[:, None]
+    hit = np.maximum(top[:, 1:-1], top[:, 2:]) - bot[:, :-2] > c
+    hit |= top[:, :-2] - np.minimum(bot[:, 1:-1], bot[:, 2:]) > c
+    rc, ic = np.nonzero(hit)
+    t = (ic * lo)[:, None] + np.arange(lo)
+    vt = v[:, : cells * lo].reshape(len(v), cells, lo)[rc, ic]
+    r, col = rc[:, None], np.minimum(t + lo, last)
+    c = cut[r]
+    hit = hi_max[r, col] - vt > c
+    hit |= vt - lo_min[r, col] > c
+    hit &= t < last
+    f, k = np.nonzero(hit)
+    return rc[f], t[f, k]
 
 
 def _pair_maxima(v, rows, starts, lo, scale, n):
@@ -347,8 +386,9 @@ def _check_estimate_args(epsilons, n_paths) -> np.ndarray:
     eps = np.asarray(sorted(float(e) for e in epsilons))
     if eps.size == 0 or not (eps > 0).all():  # NaN too: the counts need sorted radii
         raise ValueError("epsilons must be positive")
-    if n_paths < 1000:
-        raise ValueError("n_paths must be >= 1000 for a meaningful estimate")
+    if n_paths < _MIN_PATHS:
+        raise ValueError(
+            f"n_paths must be >= {_MIN_PATHS} for a meaningful estimate")
     return eps
 
 

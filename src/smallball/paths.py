@@ -2,9 +2,12 @@
 
 ``holder_norm_batch`` is the dense Holder seminorm, maximizing
 |f(t)-f(s)| / (t-s)**beta over every grid pair of every row; it is the
-reference for the pruned ball counts in ``mcverify``, which also holds
-the sup and L1 norms of the Monte Carlo estimates.  ``increment_lp`` is
-the increment norm |X|_p of the partition split.
+reference for the Holder ball counts in ``mcverify``.  Those start from
+the largest term on a 33-point subgrid, compute every term they evaluate
+with the same expression, and skip the terms that a bound over a cell of
+starts puts at or below the next radius.  ``mcverify`` also holds the
+sup and L1 norms of the Monte Carlo estimates.  ``increment_lp`` is the
+increment norm |X|_p of the partition split.
 """
 
 from __future__ import annotations

@@ -386,6 +386,31 @@ class TestVerify:
         assert payload["ok"] is False
         assert payload["counts"]["FAIL"] == 1
 
+    @pytest.mark.parametrize("command", ["verify", "estimate"])
+    @pytest.mark.parametrize("paths,flags", [(999, ()), (2000, ("--paths", "999"))])
+    def test_too_few_paths_fail_before_any_certificate(self, tmp_path, capsys,
+                                                       monkeypatch, command,
+                                                       paths, flags):
+        import smallball.bounds
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built a certificate before checking n_paths")
+
+        for name in ("iid_sum_certificate", "holder_indep_certificate",
+                     "bound_gaussian_class", "fbm_holder_certificate",
+                     "stationary_certificate", "empirical_certificate"):
+            monkeypatch.setattr(smallball.bounds, name, fail)
+        monkeypatch.setattr("smallball.cli.estimate_small_ball", fail)
+        cfg = {"process": {"kind": "fbm", "H": 0.3}, "n_paths": paths}
+        if command == "estimate":
+            cfg.update(N=64, epsilons=[0.5])
+        code, _, err = run_cli(tmp_path, capsys, command, cfg, *flags,
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert parse_error(err) == {
+            "type": "config", "pointer": "/n_paths",
+            "message": "must be >= 1000 for a meaningful estimate"}
+
 
 class TestToeplitz:
     def test_convergence_table(self, tmp_path, capsys):

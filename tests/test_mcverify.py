@@ -11,6 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm as normal
 
 import smallball.gausscov
@@ -22,6 +23,7 @@ from smallball.mcverify import (
     _chunk_map,
     _holder_counts,
     _norms_block,
+    _subgrid_floor,
     bm_sup_exact,
     config_digest,
     estimate_small_ball,
@@ -61,6 +63,52 @@ def _bm_sup_reflection(eps):
             normal.cdf((2 * k + 1) * eps) - normal.cdf((2 * k - 1) * eps)
         )
     return total
+
+
+def _planted_pair(N, beta, t0, L):
+    """A zero path with a dip -a at t0 and a peak +a at t0 + L.
+
+    The pair reads 2a / (L delta)^beta, which is the norm while
+    L^beta < 2: every other term is at most a / delta^beta.  a is the
+    first height at which radius * (L delta)^beta, for the radius one ulp
+    below the norm, rounds up to the pair's difference 2a, so a screen
+    without its slack skips the pair (none does when the scale is a power
+    of two).
+    """
+    delta = UniformGrid(1.0, N).delta
+    scale = (L * delta) ** beta
+    a = next((1.0 + k / 4096 for k in range(4096)
+              if 2.0 + k / 2048
+              <= np.nextafter((2.0 + k / 2048) / scale, 0.0) * scale), 1.0)
+    path = np.zeros((1, N + 1))
+    path[0, t0], path[0, t0 + L] = -a, a
+    norm = holder_norm_batch(path, delta, beta)[0]
+    assert norm == 2 * a / scale
+    return path, delta, norm
+
+
+def _assert_counted_at_its_norm(path, delta, beta, norm, case):
+    below = np.nextafter(norm, 0.0)
+    for radii, counts in [([norm], [1]), ([below], [0]), ([below, norm], [0, 1])]:
+        got = _holder_counts(path, delta, beta, np.array(radii))
+        assert got.tolist() == counts, (case, radii)
+
+
+@st.composite
+def _spiky_paths(draw):
+    """Rows of a scaled random walk with a few spikes, on N = 1..300."""
+    N = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    walk = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    values = walk * rng.standard_normal((rows, N + 1)).cumsum(axis=1)
+    for r, t, h in draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, N),
+            st.floats(-8.0, 8.0, allow_nan=False)), max_size=6)):
+        values[r, t] += h
+    beta = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.5, 0.9]))
+    T = draw(st.sampled_from([1.0, 0.3, 7.0]))
+    return values, UniformGrid(T, N).delta, beta
 
 
 class TestNormSpec:
@@ -299,6 +347,55 @@ class TestEstimate:
                                       ([below, norm], [0, 1])]:
                     got = _holder_counts(path, grid.delta, beta, np.array(radii))
                     assert got.tolist() == counts, (L, t0, radii)
+
+    @pytest.mark.parametrize("N,beta", [(64, 0.1), (1000, 0.1)])
+    def test_planted_pairs_at_the_direct_and_first_walk_lags(self, N, beta):
+        # lags 1-3 are scanned one at a time and lags 4-15 in the blocks
+        # [4, 8) and [8, 16); dips at 1 and N // 2 + 1 sit off the floor's
+        # subgrid
+        for L in range(1, 16):
+            for t0 in sorted({1, N // 2 + 1, N - L - 1, N - L}):
+                path, delta, norm = _planted_pair(N, beta, t0, L)
+                _assert_counted_at_its_norm(path, delta, beta, norm, (L, t0))
+
+    @pytest.mark.parametrize("N,beta", [(100, 0.1), (1000, 0.1), (1023, 0.05)])
+    def test_planted_pairs_at_cell_edges(self, N, beta):
+        # in block [lo, 2 lo) the starts come in cells of lo: the last start
+        # of a cell (i lo - 1), the first (i lo), and the starts of the
+        # last, partial cell, with the lags that reach the far end of the
+        # cell's two window columns
+        for lo in (4, 8, 16, 32, 64, 128, 256, 512):
+            if lo > N:
+                continue
+            starts = N + 1 - lo
+            cells = -(-starts // lo)
+            edges = {(cells - 1) * lo, starts - 1}
+            for i in sorted({1, 2, cells // 2, cells - 1}):
+                edges |= {i * lo - 1, i * lo}
+            for L in sorted({lo, lo + 1, 2 * lo - 1}):
+                for t0 in sorted(t for t in edges if 0 <= t <= N - L):
+                    path, delta, norm = _planted_pair(N, beta, t0, L)
+                    _assert_counted_at_its_norm(path, delta, beta, norm,
+                                                (lo, L, t0))
+
+    @pytest.mark.parametrize("N,beta", [(64, 0.1), (100, 0.1), (2048, 0.05)])
+    def test_planted_pair_on_the_subgrid_is_the_floor(self, N, beta):
+        # both ends on the floor's 33-point subgrid: the floor is the norm
+        s = N // 32
+        for i, j in [(0, 1), (3, 4), (0, 31), (31, 32), (10, 20)]:
+            path, delta, norm = _planted_pair(N, beta, i * s, (j - i) * s)
+            assert _subgrid_floor(path, delta, beta)[0] == norm
+            _assert_counted_at_its_norm(path, delta, beta, norm, (i, j))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_spiky_paths())
+    def test_counts_match_dense_norms_on_spiky_paths(self, case):
+        values, delta, beta = case
+        norms = holder_norm_batch(values, delta, beta)
+        radii = np.unique(np.concatenate([norms, np.nextafter(norms, 0.0)]))
+        radii = radii[radii > 0] if (radii > 0).any() else np.array([1.0])
+        dense = [int(np.count_nonzero(norms <= e)) for e in radii]
+        assert _holder_counts(values, delta, beta, radii).tolist() == dense
 
     def test_l1_norm_counts(self):
         eps = [0.2, 0.5]
