@@ -201,10 +201,15 @@ class Certificate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+_LEAVES = frozenset({float, int, str, bool, type(None)})  # by exact type
+
+
 def _jsonable(obj):
     """JSON-ready copy of a record: a dataclass by its fields, a Regime by
     its own to_dict (which omits beta=None), tuples as lists and numpy
     values as Python ones."""
+    if type(obj) in _LEAVES:
+        return obj
     if isinstance(obj, Regime):
         return obj.to_dict()
     if is_dataclass(obj) and not isinstance(obj, type):

@@ -240,16 +240,23 @@ def _pivot_root(count, lower, upper, tol):
         pts.append(count(est)[1:])
 
 
-def _jump(count, n, lower, upper, tol):
+def _jump(count, passes, n, lower, upper, tol):
     """The bracket that bisecting (lower, upper) down to tol reaches, or None.
 
     Bisection is replayed with the pivot estimate deciding each midpoint,
-    and only the replay's two ends are counted.  If both confirm, with no
-    nudge, every skipped midpoint lies outside them, so wherever the counts
-    are monotone in mu they force each skipped decision: the result is the
-    bisection's.  The jump is tried only where the most passes it can
-    spend (two to start the root-finder, _ROOT_PASSES, two at the ends)
-    are fewer than the bisection steps it replaces.
+    which leaves a bracket (a, b).  Each end must be backed by a pass of
+    this call (``passes``: shift asked -> ``_count_below`` result).  A pass
+    already made at a shift s in [a, b] settles an end with no count at the
+    end itself: fewer than n eigenvalues below s puts the largest at s or
+    above, so at a or above; all n below s puts it below s, so below b.
+    The root-finder's last evaluation lies within tol / 8 of its estimate,
+    so it usually settles one end.  An end left unsettled is counted and
+    must confirm with no nudge of the shift.  Every skipped midpoint lies
+    outside [a, b], so wherever the counts are monotone in mu they force
+    each skipped decision: the result is the bisection's.  The jump is
+    tried only where the most passes it can spend (two to start the
+    root-finder, _ROOT_PASSES, two at the ends) are fewer than the
+    bisection steps it replaces.
     """
     if upper - lower <= 2.0 ** (_ROOT_PASSES + 4) * tol:
         return None
@@ -257,10 +264,27 @@ def _jump(count, n, lower, upper, tol):
     if est is None:
         return None
     a, b = _bisect(lower, upper, tol, lambda mid: (est < mid, mid))
-    (below_a, mu_a, _), (below_b, mu_b, _) = count(a), count(b)
-    if below_a < n == below_b and (mu_a, mu_b) == (a, b):
-        return a, b
-    return None
+    inside = [below for below, mu, _ in passes.values() if a <= mu <= b]
+    for end, confirms in ((a, lambda below: below < n), (b, lambda below: below == n)):
+        if any(map(confirms, inside)):
+            continue
+        below, mu, _ = count(end)
+        if not confirms(below) or mu != end:
+            return None
+    return a, b
+
+
+def _circulant(row):
+    """(weighted row, eigenvalues, roundoff pad) of the 2N circulant that
+    embeds toeplitz(row) as a leading block.
+
+    The eigenvalues r_0 + 2 sum_k r_k cos(pi j k / N), j = 0..N, are one
+    rfft of the row with its off-diagonal lags doubled; they are FFT
+    results, so bounds drawn from them are widened by ``pad``.
+    """
+    weighted = np.where(np.arange(row.shape[0]) == 0, 1.0, 2.0) * row
+    circ = np.fft.rfft(weighted, 2 * row.shape[0]).real
+    return weighted, circ, 64.0 * float(np.finfo(float).eps) * float(np.max(np.abs(circ)))
 
 
 def toeplitz_eig_enclosure(row, which: str = "max"):
@@ -285,15 +309,18 @@ def toeplitz_eig_enclosure(row, which: str = "max"):
     the bisection is skipped (``_jump``): a root-finder on the last
     Levinson pivot, started from the passes already made at the two ends,
     estimates the eigenvalue; the remaining midpoints are replayed with the
-    estimate deciding each one, and only the replay's two final ends are
-    counted.  If both confirm, with no nudge of the shift, they are
-    returned; otherwise bisection goes on from the bracket the real counts
-    left.  Wherever the counts are monotone in the shift, the result is
-    bit for bit the plain bisection's, so the ``toeplitz`` table keeps its
-    bytes.  Ends move only on inertia counts made in this call, so the
-    enclosure stays certified.  At H = 0.3 the largest eigenvalue takes 6
-    passes at N = 256-2048 instead of 12-22, and a far end about 20
-    instead of about 40.
+    estimate deciding each one.  Of the replay's two final ends, one that
+    a pass already made at a shift between them settles is not counted
+    again (the root-finder's last pass, within tol / 8 of the estimate,
+    usually settles one); the other is counted.  If both confirm, with no
+    nudge of a counted shift, they are returned; otherwise bisection goes
+    on from the bracket the real counts left.  Wherever the counts are
+    monotone in the shift, the result is bit for bit the plain
+    bisection's, so the ``toeplitz`` table keeps its bytes.  Ends move
+    only on inertia counts made in this call, so the enclosure stays
+    certified.  At H = 0.3 the largest eigenvalue takes 5 passes at
+    N = 256-2048 instead of 12-22, and a far end about 20 instead of
+    about 40.
     """
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
@@ -301,13 +328,10 @@ def toeplitz_eig_enclosure(row, which: str = "max"):
     row = sign * np.asarray(row, dtype=float)
     n = row.shape[0]
     k = np.arange(n)
-    weighted = np.where(k == 0, 1.0, 2.0) * row
-    circ = np.fft.rfft(weighted, 2 * n).real  # r_0 + 2 sum_k r_k cos(pi j k / n)
+    weighted, circ, pad = _circulant(row)
     v = np.sin(np.pi * (k + 1) / (n + 1)) * np.cos(np.pi * int(np.argmax(circ)) / n * k)
     lags = np.fft.irfft(np.abs(np.fft.rfft(v, 2 * n)) ** 2, 2 * n)[:n]  # sum_i v_i v_i+k
-    # the bracket ends are FFT results: widen them by their roundoff
     scale = float(np.max(np.abs(circ)))
-    pad = 64.0 * float(np.finfo(float).eps) * scale
     upper = float(np.max(circ)) + pad
     lower = min(float(weighted @ lags / lags[0]), upper) - 2.0 * pad
     tol = 1e-13 * scale
@@ -332,7 +356,7 @@ def toeplitz_eig_enclosure(row, which: str = "max"):
         return below == n, mu
 
     lower, upper = _bisect(lower, upper, _JUMP_WIDTH * tol, bisect_step)
-    ends = _jump(count, n, lower, upper, tol)
+    ends = _jump(count, passes, n, lower, upper, tol)
     lower, upper = ends or _bisect(lower, upper, tol, bisect_step)
     return (lower, upper) if sign > 0 else (-upper, -lower)
 
@@ -343,7 +367,12 @@ def increment_covariance(iv: IncrementalVariance, grid: UniformGrid) -> Incremen
     Gamma_ij = (sigma2(t_{i-1}, t_j) + sigma2(t_i, t_{j-1})
                 - sigma2(t_i, t_j) - sigma2(t_{i-1}, t_{j-1})) / 2.
 
-    Raises if the result is indefinite beyond -1e-10 * ||Gamma||_2.
+    Raises if the result is indefinite beyond -1e-10 * ||Gamma||_2.  A
+    Toeplitz Gamma is a leading block of its 2N circulant embedding, so by
+    Cauchy interlacing lambda_min >= min(circulant eigenvalues) - pad, and
+    Gamma_00 <= lambda_max; when that bound is at least -1e-10 * Gamma_00
+    the check is settled with no inertia pass.  Otherwise it takes the
+    lambda_max enclosure and one inertia count at -1e-10 * lambda_max.
     """
     stationary = iv.stationary
     if stationary is None:
@@ -357,6 +386,9 @@ def increment_covariance(iv: IncrementalVariance, grid: UniformGrid) -> Incremen
         if grid.N > 1:
             row[1:] = 0.5 * (g[2:] + g[:-2] - 2.0 * g[1:-1])
         cov = IncrementCovariance(grid=grid, toeplitz=True, first_row=row)
+        _, circ, pad = _circulant(row)
+        if float(np.min(circ)) - pad >= -1e-10 * row[0]:
+            return cov
     else:
         times = grid.times
         s_mat = _eval_pairs(iv.fn, *np.meshgrid(times, times, indexing="ij"))

@@ -22,7 +22,7 @@ import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -187,11 +187,21 @@ def _subgrid_floor(values, delta, beta):
     """Largest term of each row over the point pairs of a 33-point subgrid."""
     s = max(1, (values.shape[1] - 1) // 32)
     g = values[:, : 32 * s + 1 : s]
-    i, j = np.triu_indices(g.shape[1], 1)
-    scale = np.array([(k * s * delta) ** beta for k in range(g.shape[1])])
+    i, j, scale = _subgrid_pairs(g.shape[1], s, delta, beta)
     terms = np.abs(g[:, j] - g[:, i])
-    terms /= scale[j - i]
+    terms /= scale
     return terms.max(axis=1, initial=0.0)
+
+
+@lru_cache(maxsize=32)
+def _subgrid_pairs(points, stride, delta, beta):
+    """(i, j, lag scale) of each point pair i < j of the subgrid: one set
+    per shape, shared read-only by every chunk."""
+    i, j = np.triu_indices(points, 1)
+    scale = np.array([(k * stride * delta) ** beta for k in range(points)])[j - i]
+    for a in (i, j, scale):
+        a.setflags(write=False)
+    return i, j, scale
 
 
 def _abs_max(x):

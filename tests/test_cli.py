@@ -820,6 +820,9 @@ _FUZZ_BASES = [
                "beta": 0.5, "T": 1.0, "delta_mesh": 0.015625,
                "epsilons": [0.1, 0.3]}),
     ("toeplitz", {"H": 0.3, "N": [16, 64]}),
+    ("estimate", {"process": {"kind": "fbm", "H": 0.3}, "N": 64,
+                  "n_paths": 1000, "epsilons": [0.3, 0.6], "seed": 1,
+                  "norm": {"kind": "sup"}, "confidence": 0.99}),
     ("rate", {"epsilons": [0.1, 0.2, 0.3, 0.4],
               "values": [0.001, 0.02, 0.1, 0.25], "mode": "RAW", "c1": 2.0}),
     ("verify", {"process": {"kind": "fbm", "H": 0.3}, "N": 64,

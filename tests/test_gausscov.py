@@ -147,6 +147,32 @@ class TestIncrementCovariance:
         with pytest.raises(ValueError, match="increment covariance indefinite"):
             increment_covariance(iv, grid)
 
+    @pytest.mark.parametrize("H", [0.2, 0.3, 0.5, 0.7])
+    def test_fbm_definiteness_needs_no_inertia_pass(self, H, monkeypatch):
+        # the circulant embedding's smallest eigenvalue settles it
+        calls = _counting(monkeypatch)
+        increment_covariance(sigma2_fbm(H), UniformGrid(1.0, 256))
+        assert calls == []
+
+    def test_definite_row_with_indefinite_embedding_builds(self, monkeypatch):
+        # row [1, 0.5, -0.3]: the embedding's smallest eigenvalue is -0.6,
+        # the matrix's 0.127, so only the inertia count can clear it
+        iv = IncrementalVariance(
+            lambda s, t: np.interp(np.abs(t - s), [0, 1, 2, 3], [0, 1, 3, 4.4]),
+            stationary=True)
+        calls = _counting(monkeypatch)
+        cov = increment_covariance(iv, UniformGrid(3.0, 3))
+        np.testing.assert_allclose(cov.first_row, [1.0, 0.5, -0.3])
+        assert min(np.fft.rfft([1.0, 1.0, -0.6], 6).real) == pytest.approx(-0.6)
+        assert np.linalg.eigvalsh(cov.gamma)[0] == pytest.approx(0.127, abs=1e-3)
+        assert len(calls) >= 1
+
+    def test_stationary_indefinite_profile_rejected(self):
+        # |t - s|^3 has lag-one covariance 3 against variance 1
+        iv = IncrementalVariance(lambda s, t: np.abs(t - s) ** 3, stationary=True)
+        with pytest.raises(ValueError, match="increment covariance indefinite"):
+            increment_covariance(iv, UniformGrid(1.0, 8))
+
     def test_degenerate_profile_collapses_spectrum(self):
         grid = UniformGrid(1.0, 8)
         cov = increment_covariance(IncrementalVariance(lambda s, t: 0.0), grid)
@@ -263,9 +289,9 @@ class TestToeplitzEigEnclosure:
     # down to 2^24 tolerances.
     @pytest.mark.parametrize("H,which,N,plain,passes", [
         pytest.param(*row, id="-".join(map(str, row[:4]))) for row in [
-            (0.3, "max", 2048, 12, 6), (0.3, "max", 1024, 12, 6),
-            (0.3, "max", 256, 23, 6),
-            (0.45, "max", 2048, 11, 6), (0.45, "max", 1024, 11, 6),
+            (0.3, "max", 2048, 12, 5), (0.3, "max", 1024, 12, 5),
+            (0.3, "max", 256, 23, 5),
+            (0.45, "max", 2048, 11, 5), (0.45, "max", 1024, 11, 5),
             (0.3, "min", 1024, 40, 20), (0.3, "min", 2048, 39, 19),
             (0.45, "min", 1024, 41, 21), (0.45, "min", 2048, 41, 21),
             (0.7, "max", 1024, 44, 24), (0.7, "max", 2048, 44, 24),
