@@ -37,4 +37,5 @@ for H in (0.3, 0.45, 0.7):
 # H = 1/2 is the white-noise corner: the correlation matrix is the
 # identity and the symbol is flat
 cov = increment_covariance(sigma2_fbm(0.5), UniformGrid(64.0, 64))
-print(f"\nH=0.5 sanity: two-norm = {cov.two_norm():.12f} (identity)")
+lo, hi = cov.lambda_range()
+print(f"\nH=0.5 sanity: eigenvalues in [{lo:.12f}, {hi:.12f}] (identity)")

@@ -34,7 +34,6 @@ from .gausscov import (
     IncrementalVariance,
     IncrementCovariance,
     sigma2_fbm,
-    fbm_cover_constant,
     increment_covariance,
     toeplitz_eig_enclosure,
     s_weight,
@@ -46,7 +45,6 @@ from .gausscov import (
 )
 from .concentration import (
     TailModel,
-    hoeffding_tail,
     gauss_l2_tail,
     drift_bounded_model,
     drift_borell_model,

@@ -10,35 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
 from scipy import special as _special
 
 __all__ = [
     "TailModel",
-    "hoeffding_tail",
     "gauss_l2_tail",
     "drift_bounded_model",
     "drift_borell_model",
     "cp_upper",
     "cp_lower",
 ]
-
-
-def hoeffding_tail(t: float, ranges: Sequence[float]) -> float:
-    """Two-sided Hoeffding bound for a sum of independent bounded terms.
-
-    P(|S - ES| >= t) <= 2 exp(-2 t^2 / sum r_k^2), r_k the range of the
-    k-th summand.
-    """
-    if t < 0:
-        raise ValueError("threshold must be non-negative")
-    r = np.asarray(ranges, dtype=float)
-    if r.size == 0 or np.any(r <= 0):
-        raise ValueError("ranges must be positive and non-empty")
-    denom = float(np.sum(r * r))
-    return min(1.0, 2.0 * math.exp(-2.0 * t * t / denom))
 
 
 def gauss_l2_tail(norm2: float, h: float) -> float:

@@ -2,8 +2,8 @@
 
 The variance profile sigma2(s, t) = E (X_t - X_s)^2 determines the
 covariance of the increment vector Y_k = X_{t_k} - X_{t_{k-1}} by
-polarization.  This module builds that matrix (exploiting the Toeplitz
-structure of stationary-increment profiles) and encloses its extreme
+polarization.  This module builds that matrix (as a Toeplitz row when the
+profile is declared stationary) and encloses its extreme
 eigenvalues.  It also computes the summable two-norm bound used by the
 explicit certificates, and the spectral density of fractional Gaussian
 noise in closed form, whose supremum is the large-N limit of the
@@ -18,11 +18,10 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg as _sla
 from scipy import special as _special
 
 from .paths import UniformGrid
-from .simulate import _check_hurst, fgn_autocovariance
+from .simulate import _check_hurst
 
 __all__ = [
     "IncrementalVariance",
@@ -34,17 +33,17 @@ __all__ = [
     "s_weight",
     "s_weight_envelope",
     "gamma_two_norm_bound",
-    "fbm_cover_constant",
     "fgn_symbol",
     "symbol_sup",
 ]
 
 @dataclass(frozen=True)
 class IncrementalVariance:
-    """Variance profile sigma2(s, t); ``stationary`` None means unknown."""
+    """Variance profile sigma2(s, t).  ``stationary`` declares that it
+    depends on t - s only; it is never guessed from samples of ``fn``."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    stationary: Optional[bool] = None
+    stationary: bool = False
 
 
 def sigma2_fbm(H: float) -> IncrementalVariance:
@@ -57,17 +56,6 @@ def sigma2_fbm(H: float) -> IncrementalVariance:
         )
 
     return IncrementalVariance(fn, stationary=True)
-
-
-def fbm_cover_constant(H: float) -> float:
-    """Smallest c with |rho_H(m)| <= c (1+m)^{2H-2} over lags 0..4096.
-
-    The maximum sits at lag zero (value 1) for every Hurst index; the scan
-    plus the |rho_H(m)| ~ H|2H-1| m^{2H-2} tail guards the claim.
-    """
-    m = np.arange(4096 + 1)
-    ratios = np.abs(fgn_autocovariance(H, m)) * (1.0 + m) ** (2.0 - 2.0 * H)
-    return float(np.max(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -86,29 +74,14 @@ def _eval_pairs(fn, s, t):
         return np.vectorize(fn, otypes=[float])(s, t)
 
 
-def _probe_stationary(fn, grid: UniformGrid) -> bool:
-    delta, T = grid.delta, grid.T
-    gaps = np.array([delta, 2.9 * delta, min(7.3 * delta, 0.83 * T)])
-    starts = np.array([0.31 * T, 0.57 * T, 0.79 * T])
-    for u in gaps:
-        base = float(_eval_pairs(fn, np.array([0.0]), np.array([u]))[0])
-        for s in starts:
-            if s + u > T:
-                continue
-            val = float(_eval_pairs(fn, np.array([s]), np.array([s + u]))[0])
-            if abs(val - base) > 1e-9 * (abs(base) + 1e-30):
-                return False
-    return True
-
-
 @dataclass
 class IncrementCovariance:
     """Covariance of the increment vector on a uniform grid.
 
     ``first_row`` is populated when the matrix is Toeplitz; the dense
-    matrix is materialized on demand.  Eigenvalue enclosures are computed
-    once and cached (idempotent, so concurrent readers at worst duplicate
-    work).
+    matrix is materialized on demand.  Eigenvalue enclosures, and the one
+    eigendecomposition of the dense matrix, are computed once and cached
+    (idempotent, so concurrent readers at worst duplicate work).
     """
 
     grid: UniformGrid
@@ -123,22 +96,26 @@ class IncrementCovariance:
     @property
     def gamma(self) -> np.ndarray:
         if self._dense is None:
-            self._dense = _sla.toeplitz(self.first_row)
+            # row i of toeplitz(row) is window N-1-i of [row reversed, row[1:]]
+            mirrored = np.concatenate((self.first_row[::-1], self.first_row[1:]))
+            windows = np.lib.stride_tricks.sliding_window_view(mirrored, self.N)
+            self._dense = windows[::-1].copy()
         return self._dense
 
     @cached_property
-    def _dense_eigs(self):
-        return np.linalg.eigvalsh(self.gamma)
+    def _eigh(self):
+        """(ascending eigenvalues, eigenvectors) of gamma."""
+        return np.linalg.eigh(self.gamma)
 
     @cached_property
     def _max_enclosure(self):
         return (toeplitz_eig_enclosure(self.first_row, "max") if self.toeplitz
-                else (float(self._dense_eigs[-1]),) * 2)
+                else (float(self._eigh[0][-1]),) * 2)
 
     @cached_property
     def _min_enclosure(self):
         return (toeplitz_eig_enclosure(self.first_row, "min") if self.toeplitz
-                else (float(self._dense_eigs[0]),) * 2)
+                else (float(self._eigh[0][0]),) * 2)
 
     def lambda_max(self) -> float:
         """Largest eigenvalue: the upper end of its enclosure."""
@@ -148,14 +125,9 @@ class IncrementCovariance:
         """(smallest, largest) eigenvalue: the outer ends of their enclosures."""
         return self._min_enclosure[0], self._max_enclosure[1]
 
-    def two_norm(self) -> float:
-        """||Gamma||_2 = max(|lambda_min|, |lambda_max|), from lambda_range."""
-        lo, hi = self.lambda_range()
-        return max(abs(lo), abs(hi))
-
     def sampling_factor(self) -> np.ndarray:
         """Factor F with F F^T = Gamma, for exact Gaussian sampling."""
-        lam, q = _sla.eigh(self.gamma)
+        lam, q = self._eigh
         lam = np.clip(lam, 0.0, None)
         return q * np.sqrt(lam)
 
@@ -367,17 +339,19 @@ def increment_covariance(iv: IncrementalVariance, grid: UniformGrid) -> Incremen
     Gamma_ij = (sigma2(t_{i-1}, t_j) + sigma2(t_i, t_{j-1})
                 - sigma2(t_i, t_j) - sigma2(t_{i-1}, t_{j-1})) / 2.
 
+    A profile declared stationary gives a Toeplitz Gamma, from the second
+    differences of sigma2(0, u) along the lags; any other profile gets the
+    dense polarization, which is right whatever the profile.
+
     Raises if the result is indefinite beyond -1e-10 * ||Gamma||_2.  A
     Toeplitz Gamma is a leading block of its 2N circulant embedding, so by
     Cauchy interlacing lambda_min >= min(circulant eigenvalues) - pad, and
     Gamma_00 <= lambda_max; when that bound is at least -1e-10 * Gamma_00
     the check is settled with no inertia pass.  Otherwise it takes the
-    lambda_max enclosure and one inertia count at -1e-10 * lambda_max.
+    lambda_max enclosure and one inertia count at -1e-10 * lambda_max.  A
+    dense Gamma is settled by its one cached eigendecomposition.
     """
-    stationary = iv.stationary
-    if stationary is None:
-        stationary = _probe_stationary(iv.fn, grid)
-    if stationary:
+    if iv.stationary:
         # second difference of g(u) = sigma2(0, u) along lags
         u = np.arange(grid.N + 1, dtype=float) * grid.delta
         g = _eval_pairs(iv.fn, np.zeros_like(u), u)
@@ -447,8 +421,8 @@ def gamma_two_norm_bound(H: float, N: int, delta: float, c_deriv: float) -> floa
     """Upper bound on ||Gamma||_2 via ||Gamma||_2 <= ||Gamma||_1.
 
     Valid whenever |E Y_i Y_j| <= c_deriv * delta^{2H} * (1+|i-j|)^{2H-2};
-    for fBm the smallest such constant is ``fbm_cover_constant`` (= 1, the
-    lag-zero term).  Returns c_deriv * delta^{2H} * s_weight(H, N).
+    for fBm the smallest such constant is 1, the lag-zero term.  Returns
+    c_deriv * delta^{2H} * s_weight(H, N).
     """
     if delta <= 0 or c_deriv <= 0:
         raise ValueError("delta and c_deriv must be positive")

@@ -360,7 +360,7 @@ def _build_c7(workers):
     H, N = 0.3, 256
     delta = 1.0 / N
     cov = increment_covariance(sigma2_fbm(H), UniformGrid(1.0, N))
-    two = cov.two_norm()
+    two = max(map(abs, cov.lambda_range()))
     center = math.sqrt(N * delta ** (2.0 * H))
     n_draws, batch = 100_000, 10_000
     devs = []

@@ -33,13 +33,15 @@ def test_version_matches_pyproject():
 
 def test_cli_import_loads_no_scipy_stats():
     # scipy.stats drags in optimize, integrate, interpolate, spatial and
-    # ndimage; the library needs only scipy.special and scipy.linalg
+    # ndimage, and scipy.linalg its LAPACK wrappers; the library needs only
+    # scipy.special.  One interpreter checks both prefixes.
     src = str(Path(smallball.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, smallball.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith(('scipy.stats', 'scipy.linalg'))))"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         check=True)
     assert out.stdout.strip() == "[]"

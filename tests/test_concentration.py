@@ -19,7 +19,6 @@ from smallball.concentration import (
     drift_borell_model,
     drift_bounded_model,
     gauss_l2_tail,
-    hoeffding_tail,
 )
 
 
@@ -49,30 +48,6 @@ def _cp_lower_bisect(k, n, confidence):
         else:
             hi = mid
     return lo
-
-
-class TestHoeffding:
-    def test_frozen_value(self):
-        # 2 exp(-2 * 4 / 4) = 2 e^{-2}
-        assert hoeffding_tail(2.0, [1.0] * 4) == pytest.approx(
-            0.2706705664732254, rel=1e-13
-        )
-
-    def test_clamps_at_one(self):
-        assert hoeffding_tail(0.0, [1.0, 1.0]) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hoeffding_tail(-1.0, [1.0])
-        with pytest.raises(ValueError):
-            hoeffding_tail(1.0, [])
-        with pytest.raises(ValueError):
-            hoeffding_tail(1.0, [1.0, 0.0])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.floats(0.0, 10.0), st.floats(0.01, 10.0), st.integers(1, 50))
-    def test_monotone_in_threshold(self, t, r, n):
-        assert hoeffding_tail(t + 0.5, [r] * n) <= hoeffding_tail(t, [r] * n)
 
 
 class TestGaussL2:

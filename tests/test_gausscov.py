@@ -16,7 +16,6 @@ from smallball import gausscov
 from smallball.gausscov import (
     IncrementalVariance,
     _count_below,
-    fbm_cover_constant,
     fgn_symbol,
     gamma_two_norm_bound,
     increment_covariance,
@@ -96,6 +95,11 @@ def _dense_gamma(H, grid):
     return grid.delta ** (2 * H) * fgn_autocovariance(H, lags)
 
 
+def _two_norm(cov):
+    lo, hi = cov.lambda_range()
+    return max(abs(lo), abs(hi))
+
+
 class TestIncrementCovariance:
     def test_fbm_matrix_matches_autocovariance(self):
         grid = UniformGrid(1.0, 32)
@@ -111,7 +115,39 @@ class TestIncrementCovariance:
             IncrementalVariance(lambda s, t: abs(t - s) ** 0.6), grid
         )
         exact = increment_covariance(sigma2_fbm(0.3), grid)
+        assert generic.toeplitz is False
         np.testing.assert_allclose(generic.gamma, exact.gamma, atol=1e-12)
+
+    def test_undeclared_profile_that_looks_stationary_gets_polarization(self):
+        # X_t = B_t + Z sin(200 pi t), Z standard normal: sigma2(s, s + u)
+        # equals sigma2(0, u) at every start s in Z / 200, where the sine
+        # vanishes, yet X has no stationary increments
+        def fn(s, t):
+            return np.abs(t - s) + (np.sin(200 * np.pi * t) - np.sin(200 * np.pi * s)) ** 2
+
+        grid = UniformGrid(1.0, 400)
+        cov = increment_covariance(IncrementalVariance(fn), grid)
+        assert cov.toeplitz is False
+        t = grid.times
+        s2 = fn(t[:, None], t[None, :])
+        polar = 0.5 * (s2[:-1, 1:] + s2[1:, :-1] - s2[1:, 1:] - s2[:-1, :-1])
+        np.testing.assert_allclose(cov.gamma, polar, rtol=0, atol=1e-12)
+
+    def test_dense_covariance_is_decomposed_once(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
+                calls.append(_name)
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        grid = UniformGrid(1.0, 8)
+        cov = increment_covariance(
+            IncrementalVariance(lambda s, t: np.abs(t**2 - s**2)), grid)
+        cov.lambda_range()
+        factor = cov.sampling_factor()
+        assert calls == ["eigh"]
+        np.testing.assert_allclose(factor @ factor.T, cov.gamma, atol=1e-14)
 
     def test_lambda_range_matches_eigvalsh(self):
         grid = UniformGrid(64.0, 64)  # delta = 1: unit-variance increments
@@ -125,9 +161,9 @@ class TestIncrementCovariance:
         grid = UniformGrid(1.0, 40)
         cov = increment_covariance(sigma2_fbm(0.45), grid)
         dense = _dense_gamma(0.45, grid)
-        assert cov.two_norm() == pytest.approx(np.linalg.norm(dense, 2), rel=1e-8)
+        assert _two_norm(cov) == pytest.approx(np.linalg.norm(dense, 2), rel=1e-8)
         # symmetric matrix: the two-norm is at most the one-norm
-        assert cov.two_norm() <= np.abs(dense).sum(axis=0).max() + 1e-12
+        assert _two_norm(cov) <= np.abs(dense).sum(axis=0).max() + 1e-12
 
     def test_nonstationary_profile_builds_dense_matrix(self):
         # sigma2 = |t^2 - s^2| is Brownian motion run at clock t^2: its
@@ -326,13 +362,17 @@ class TestRowWeights:
             for N in (16, 64, 256):
                 grid = UniformGrid(N * 0.01, N)
                 cov = increment_covariance(sigma2_fbm(H), grid)
-                bound = gamma_two_norm_bound(H, N, grid.delta, fbm_cover_constant(H))
-                assert bound >= cov.two_norm() * (1 - 1e-10)
+                bound = gamma_two_norm_bound(H, N, grid.delta, 1.0)
+                assert bound >= _two_norm(cov) * (1 - 1e-10)
 
     def test_fbm_cover_constant_is_lag_zero(self):
-        # |rho_H(k)| <= (1+k)^{2H-2} holds with constant 1 for fBm
-        assert fbm_cover_constant(0.3) == 1.0
-        assert fbm_cover_constant(0.7) == 1.0
+        # |rho_H(m)| <= (1+m)^{2H-2} holds with constant 1 for fBm, the
+        # lag-zero term; past the scan |rho_H(m)| ~ H|2H-1| m^{2H-2}
+        m = np.arange(4096 + 1)
+        for H in (0.3, 0.7):
+            ratios = np.abs(fgn_autocovariance(H, m)) * (1.0 + m) ** (2.0 - 2.0 * H)
+            assert ratios[0] == 1.0
+            assert ratios.max() <= 1.0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -588,7 +588,7 @@ class TestSlices:
         # the bytes of the table sampled by whole chunks
         text = table.to_csv_text()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "79a15649b1f4074778e1a8c35213646f77678cf82c504e44eebafefbae44b59b")
+            "f7d3add77edb45ed05620fe3855665cbc40da47a48ddc3a5333be3074ad81bcd")
 
     def test_norm_samples_match_dense_values(self, drift_integrand):
         shared = replace(self.SPEC, drift=DriftSpec(kind="shared_fbm"))
