@@ -67,7 +67,6 @@ from .bounds import (
     empirical_certificate,
 )
 from .mcverify import (
-    NormSpec,
     EstimateTable,
     VerifyReport,
     estimate_small_ball,

@@ -8,9 +8,9 @@ a process pool.  Estimates across an epsilon grid share the same paths,
 making the empirical curve monotone by construction.
 
 A chunk of CHUNK paths is the unit of the pool and of the reduction; a
-chunk job streams its paths through row slices of max(1, 2^16 // N) rows
-(at most CHUNK), the unit of the cache: the simulate kernel samples a
-slice into buffers every slice of the chunk reuses, and only its counts
+chunk job streams its paths through the row slices of
+``simulate._slices``, the unit of the cache: the simulate kernel samples
+a slice into buffers every slice of the chunk reuses, and only its counts
 or norms leave it.
 """
 
@@ -32,17 +32,16 @@ from .concentration import cp_lower, cp_upper
 from .errors import InvalidComparisonError
 from .paths import UniformGrid, increment_lp
 from .simulate import (
-    _SLICE_VALUES,
     ProcessSpec,
     SeedSpec,
     _Drift,
+    _slices,
     _x_sampler,
     path_values_block,  # noqa: F401  unused; bench/test_bench.py reads this binding
 )
 
 __all__ = [
     "CHUNK",
-    "NormSpec",
     "EstimateRow",
     "EstimateTable",
     "estimate_small_ball",
@@ -71,7 +70,8 @@ _MIN_PATHS = 1000
 _WALK = 4
 
 
-# the path norm of the small-deviation event is the certificate's regime
+# the path norm of the small-deviation event is the certificate's regime;
+# bench/workloads.py is the last reader of this alias
 NormSpec = Regime
 
 
@@ -288,18 +288,6 @@ def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
             f"that is a module-level function, not a lambda: {exc}") from exc
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, blocks, chunksize=1))
-
-
-def _slices(n: int, N: int):
-    """(rows, [(lo, hi), ..]): the row slices of a chunk of n paths on N
-    steps, and the rows of the largest.
-
-    A slice holds max(1, _SLICE_VALUES // N) rows, at most CHUNK: about 2^16
-    values, so that the slice's buffers stay in a 2 MiB L2 cache from the
-    draws to the counts (8 rows at N = 8192, 64 at N = 1024).
-    """
-    rows = min(n, CHUNK, max(1, _SLICE_VALUES // N))
-    return rows, [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def _chunk_counts(specs, grid, seed, norm, epsilons, streams):

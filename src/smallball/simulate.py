@@ -18,13 +18,14 @@ One kernel samples every block: ``_Sampler`` (the centered process, or an
 independent fbm drift) and ``_Drift`` (the composition y = x + int a) do
 their set-up once per block of streams and then run draws, spectral fill,
 irfft, running sums and composition on one row slice at a time, in place,
-in buffers every slice reuses.  The Monte Carlo chunks of ``mcverify``
-(the pool and reduction unit) pass slices of about 2^16 values
-(``_SLICE_VALUES``), the cache unit, and an fGn slice is drawn and
-transformed that many values at a time, one path at a time for longer
-paths; the public blocks, ``fgn_increments_block`` (fGn increments) and
-``path_values_block`` (values of y), pass their whole block as one slice.
-A row's bytes do not depend on the slice it is sampled in.
+in buffers every slice reuses.  ``_slices`` is the one rule that cuts a
+block into slices of about 2^16 values (``_SLICE_VALUES``), the cache
+unit, one path at a time for longer paths.  The Monte Carlo chunks of
+``mcverify`` (the pool and reduction unit) and the public blocks,
+``fgn_increments_block`` (fGn increments) and ``path_values_block``
+(values of y), stream through the same slices, the public blocks into a
+new array of their own.  A row's bytes do not depend on the slice it is
+sampled in.
 """
 
 from __future__ import annotations
@@ -279,7 +280,6 @@ class _Sampler:
     def __init__(self, N: int, delta: float, seed: SeedSpec, streams, rows: int,
                  H: float = 0.5, factor: Optional[np.ndarray] = None):
         self._states = _sfc64_states(seed.seed, seed.purpose, streams)
-        rows = min(rows, len(self._states))
         self._rng = np.random.Generator(np.random.SFC64(0))
         self._N, self._delta, self._H, self._factor = N, delta, H, factor
         self._values = np.empty((rows, N + 1))
@@ -292,29 +292,16 @@ class _Sampler:
             # drawn where their running sums go
             self._draws = self._inc = self._values[:, 1:]
         else:
-            # each path draws its half-spectrum in place, as (Re_k, Im_k),
-            # into a buffer of about _SLICE_VALUES values
-            fill = max(1, min(rows, _SLICE_VALUES // N))
-            self._draws = np.empty((fill, N + 1), dtype=complex).view(float)
+            # each path draws its half-spectrum in place, as (Re_k, Im_k)
+            self._draws = np.empty((rows, N + 1), dtype=complex).view(float)
             self._wave = np.empty((rows, 2 * N))
             self._inc = self._wave[:, :N]
 
     def increments(self, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, N) increments of rows lo..hi-1 of the block."""
         r = hi - lo
-        rngs = _generators(self._states[lo:hi], self._rng)
-        if self._factor is None and self._H != 0.5:
-            # a draws buffer at a time, transformed while still in cache
-            fill = len(self._draws)
-            for a in range(0, r, fill):
-                draws = self._draws[: min(fill, r - a)]
-                for row, rng in zip(draws, rngs):
-                    rng.standard_normal(out=row)
-                _fgn_from_draws(self._H, self._N, self._delta, draws,
-                                out=self._wave[a : a + len(draws)])
-            return self._inc[:r]
         draws = self._draws[:r]
-        for row, rng in zip(draws, rngs):
+        for row, rng in zip(draws, _generators(self._states[lo:hi], self._rng)):
             rng.standard_normal(out=row)
         if self._factor is not None:
             # numpy takes a one-row product through gemv, whose sums differ
@@ -322,6 +309,9 @@ class _Sampler:
             # the row count: a lone row is multiplied with a stale neighbour
             m = min(max(r, 2), len(self._draws))
             np.matmul(self._draws[:m], self._factor.T, out=self._inc[:m])
+        elif self._H != 0.5:
+            _fgn_from_draws(self._H, self._N, self._delta, draws,
+                            out=self._wave[:r])
         else:
             draws *= self._delta**self._H
         return self._inc[:r]
@@ -333,23 +323,39 @@ class _Sampler:
         return out
 
 
+def _slices(n: int, N: int):
+    """(rows, [(lo, hi), ..]): the row slices of a block of n paths on N
+    steps, and the rows of the largest.
+
+    A slice holds max(1, _SLICE_VALUES // N) rows, at most n: about 2^16
+    values, so that the slice's buffers stay in a 2 MiB L2 cache from the
+    draws to the counts (8 rows at N = 8192, 64 at N = 1024).  An empty
+    block has no slices.
+    """
+    rows = max(1, min(n, _SLICE_VALUES // N))
+    return rows, [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
 def fgn_increments_block(
     H: float, N: int, delta: float, seed: SeedSpec, streams
 ) -> np.ndarray:
     """Sample len(streams) independent fGn vectors, one per stream id.
 
-    Returns a (len(streams), N) array with Cov(Y_i, Y_j) =
+    Returns a new (len(streams), N) array with Cov(Y_i, Y_j) =
     delta^{2H} * rho_H(|i-j|).  Row b depends only on
-    (seed.seed, seed.purpose, streams[b]).  The array is a view into the
-    sampler's buffer: the (len(streams), 2N) transform for H != 1/2.
+    (seed.seed, seed.purpose, streams[b]).
     """
     _check_hurst(H)
     if N < 1:
         raise ValueError("N must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return _Sampler(N, delta, seed, streams, len(streams), H=H).increments(
-        0, len(streams))
+    rows, slices = _slices(len(streams), N)
+    sampler = _Sampler(N, delta, seed, streams, rows, H=H)
+    out = np.empty((len(streams), N))
+    for lo, hi in slices:
+        out[lo:hi] = sampler.increments(lo, hi)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +596,11 @@ def path_values_block(
 ) -> np.ndarray:
     """Values of y = x + int_0^t a ds on the grid for a block of streams:
     (B, N+1), the integral a left Riemann sum; without a drift, x itself."""
-    n = len(streams)
-    x = _x_sampler(spec, grid, seed, streams, n).values(0, n)
-    return _Drift(spec, grid, seed, streams, n).compose(x, 0, n, np.empty_like(x))
+    rows, slices = _slices(len(streams), grid.N)
+    x = _x_sampler(spec, grid, seed, streams, rows)
+    drift = _Drift(spec, grid, seed, streams, rows)
+    out = np.empty((len(streams), grid.N + 1))
+    for lo, hi in slices:
+        # numpy skips the copy when compose wrote into out's own rows
+        out[lo:hi] = drift.compose(x.values(lo, hi), lo, hi, out[lo:hi])
+    return out

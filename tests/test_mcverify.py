@@ -115,22 +115,22 @@ class TestNormSpec:
     def test_labels_and_regimes(self):
         # the norm of the event and the certificate regime are one type
         assert NormSpec is Regime
-        assert NormSpec("sup").label() == "sup"
-        assert NormSpec("l1") == Regime.l1()
-        h = NormSpec("holder", beta=0.25)
+        assert Regime("sup").label() == "sup"
+        assert Regime("l1") == Regime.l1()
+        h = Regime("holder", beta=0.25)
         assert h.label() == "holder(0.25)"
         assert h == Regime.holder(0.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NormSpec("l2")
+            Regime("l2")
         with pytest.raises(ValueError):
-            NormSpec("holder")
+            Regime("holder")
         for beta in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                NormSpec("holder", beta=beta)
+                Regime("holder", beta=beta)
         with pytest.raises(ValueError):
-            NormSpec("sup", beta=0.3)
+            Regime("sup", beta=0.3)
 
 
 class TestEstimate:
@@ -259,7 +259,7 @@ class TestEstimate:
         spec = ProcessSpec(kind="fbm", H=0.4)
         eps = [0.4, 0.8, 1.6]
         table = estimate_small_ball(
-            spec, grid, eps, 1000, seed=9, norm=NormSpec("holder", beta=0.2)
+            spec, grid, eps, 1000, seed=9, norm=Regime("holder", beta=0.2)
         )
         vals = path_values_block(spec, grid, SeedSpec(9), np.arange(1000))
         norms = holder_norm_batch(vals, grid.delta, 0.2)
@@ -399,7 +399,7 @@ class TestEstimate:
 
     def test_l1_norm_counts(self):
         eps = [0.2, 0.5]
-        table = estimate_small_ball(BM, GRID, eps, 1000, seed=9, norm=NormSpec("l1"))
+        table = estimate_small_ball(BM, GRID, eps, 1000, seed=9, norm=Regime("l1"))
         vals = path_values_block(BM, GRID, SeedSpec(9), np.arange(1000))
         l1 = GRID.delta * np.sum(np.abs(vals[:, :-1]), axis=1)
         for e, row in zip(eps, table.rows):
@@ -474,10 +474,10 @@ class TestNormSamples:
 
     def test_deterministic_drift_norms(self):
         spec = ProcessSpec(kind="bm", drift=DriftSpec(kind="constant", level=-1.5))
-        s = drift_norm_samples(spec, GRID, NormSpec("sup"), 300, seed=4)
+        s = drift_norm_samples(spec, GRID, Regime("sup"), 300, seed=4)
         np.testing.assert_array_equal(s, np.full(300, 1.5))
         wave = ProcessSpec(kind="bm", drift=DriftSpec(kind="bounded_wave", amplitude=2.0))
-        s = drift_norm_samples(wave, GRID, NormSpec("sup"), 300, seed=4)
+        s = drift_norm_samples(wave, GRID, Regime("sup"), 300, seed=4)
         grid_max = 2.0 * np.max(np.abs(np.sin(2 * np.pi * GRID.times)))
         np.testing.assert_allclose(s, grid_max, atol=1e-12)
 
@@ -486,12 +486,12 @@ class TestNormSamples:
         with pytest.raises(ValueError, match="n_paths must be >= 1"):
             partition_norm_samples(BM, GRID, 2.0, n_paths, seed=4)
         with pytest.raises(ValueError, match="n_paths must be >= 1"):
-            drift_norm_samples(BM, GRID, NormSpec("sup"), n_paths, seed=4)
+            drift_norm_samples(BM, GRID, Regime("sup"), n_paths, seed=4)
 
     def test_l1_event_controls_l1_of_drift(self):
         # left Riemann sum of a constant is exact: integral of |2| over [0,1]
         spec = ProcessSpec(kind="bm", drift=DriftSpec(kind="constant", level=2.0))
-        s = drift_norm_samples(spec, GRID, NormSpec("l1"), 300, seed=4)
+        s = drift_norm_samples(spec, GRID, Regime("l1"), 300, seed=4)
         np.testing.assert_allclose(s, 2.0, atol=1e-12)
 
 

@@ -5,6 +5,7 @@ fGn autocovariance at loose statistical tolerances; everything structural
 (seeding, composition) is checked exactly.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -359,3 +360,45 @@ class TestGaussianKind:
         assert p[0] == 0.0
         block = fgn_increments_block(0.5, 32, grid.delta, SeedSpec(6).with_purpose(0), [0])
         np.testing.assert_allclose(np.diff(p), block[0], atol=1e-14)
+
+
+class TestBlockSlices:
+    """The public blocks stream their rows through the Monte Carlo slices."""
+
+    @pytest.mark.parametrize("spec", [
+        ProcessSpec(kind="fbm", H=0.3), ProcessSpec(kind="bm"),
+        ProcessSpec(kind="gaussian", sigma2=lambda s, t: abs(t - s) ** 0.8),
+    ], ids=lambda s: s.kind)
+    def test_empty_stream_list_gives_empty_blocks(self, spec):
+        grid = UniformGrid(1.0, 16)
+        assert path_values_block(spec, grid, SeedSpec(1), []).shape == (0, 17)
+        if spec.kind != "gaussian":
+            block = fgn_increments_block(spec.H, 16, grid.delta, SeedSpec(1), [])
+            assert block.shape == (0, 16)
+
+    @pytest.mark.parametrize("H", [0.3, 0.5])
+    def test_one_row_slices_match_per_stream_calls(self, H):
+        # at N = 2^17 a slice holds one row
+        N, streams = 2**17, [3, 2**40, 0]
+        block = fgn_increments_block(H, N, 0.5, SeedSpec(8), streams)
+        for row, s in zip(block, streams):
+            np.testing.assert_array_equal(
+                row, fgn_increments_block(H, N, 0.5, SeedSpec(8), [s])[0])
+        spec = ProcessSpec(kind="fbm", H=H, drift=DriftSpec(kind="fbm", H2=0.7))
+        grid = UniformGrid(1.0, N)
+        block = path_values_block(spec, grid, SeedSpec(8), streams)
+        for row, s in zip(block, streams):
+            np.testing.assert_array_equal(
+                row, path_values_block(spec, grid, SeedSpec(8), [s])[0])
+
+    def test_path_values_peak_memory_is_about_the_result(self):
+        spec = ProcessSpec(kind="fbm", H=0.3, drift=DriftSpec(kind="bounded_wave"))
+        grid, streams = UniformGrid(1.0, 8192), np.arange(512)
+        path_values_block(spec, grid, SeedSpec(2), streams[:8])  # warm caches
+        tracemalloc.start()
+        try:
+            values = path_values_block(spec, grid, SeedSpec(2), streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * values.nbytes
