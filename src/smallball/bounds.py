@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Optional
 
@@ -118,6 +119,17 @@ def feasible(regime: Regime, p: float, N: int, delta: float, I: float,
     if regime.kind == "l1":
         return 8.0 * root <= ratio
     return 2.0 * delta ** regime.beta * root <= ratio
+
+
+def _check_spacing(delta: float, epsilon: float) -> None:
+    """Refuse a witness spacing that underflows (below the smallest normal
+    float): T / delta would overflow or divide by zero."""
+    if delta < sys.float_info.min:
+        raise InfeasibleCertificateError(
+            f"epsilon={epsilon:g} underflows the witness spacing delta to "
+            f"{delta:g}",
+            tightest={"epsilon": epsilon, "delta": delta},
+        )
 
 
 def drift_threshold(regime: Regime, p: float, N: int, delta: float, I: float) -> float:
@@ -311,6 +323,7 @@ def holder_indep_certificate(
         * (4.0 / c_inc) ** ((2.0 * beta - 2.0 * H - 1.0) / beta)
     )
     delta = (4.0 * epsilon / c_inc) ** (1.0 / beta)
+    _check_spacing(delta, epsilon)
     if delta > T:
         return Certificate.vacuous_certificate(
             epsilon, T, Regime.sup(), "no partition fits the horizon")
@@ -327,6 +340,11 @@ def holder_indep_certificate(
 
 # ---------------------------------------------------------------------------
 # Gaussian increment-class certificates (the workhorse)
+
+
+# the most cells a discrete gaussian_class witness may have: s_weight sums
+# one term per cell, about 3 s for 2^27 terms on a 2-core Xeon
+_MAX_CLASS_CELLS = 2**27
 
 
 def _class_seed_delta(epsilon: float, c: float, beta: float) -> float:
@@ -382,6 +400,7 @@ def bound_gaussian_class(
     u = 64.0 if drift_model is not None else 16.0
 
     delta_seed = _class_seed_delta(epsilon, c, beta)
+    _check_spacing(delta_seed, epsilon)
     if delta_seed > T:
         raise InfeasibleCertificateError(
             f"epsilon={epsilon:g} needs delta={delta_seed:g} > T={T:g}; no "
@@ -414,6 +433,12 @@ def bound_gaussian_class(
         raise InfeasibleCertificateError(
             f"discrete witness infeasible at epsilon={epsilon:g}",
             tightest={"p": 2.0, "N": N_d, "delta": delta_d, "I": I_d},
+        )
+    if N_d > _MAX_CLASS_CELLS:
+        raise InfeasibleCertificateError(
+            f"the discrete witness at epsilon={epsilon:g} has N={N_d:.4g} cells, "
+            f"more than {_MAX_CLASS_CELLS}",
+            tightest={"N": N_d, "delta": delta_d, "T": T},
         )
     norm2_d = gamma_two_norm_bound(H, N_d, delta_d, c_deriv)
     h_d = I_d / 4.0 if drift_model is not None else I_d / 2.0
@@ -524,6 +549,7 @@ def fbm_holder_certificate(
     gamma = 1.0 / (H - beta)
     c2 = T * 2.0 ** (-gamma) / (16.0 * c_deriv * s_weight_envelope(H, math.inf))
     delta = (2.0 * epsilon) ** gamma
+    _check_spacing(delta, epsilon)
     if delta > T:
         return Certificate.vacuous_certificate(
             epsilon, T, Regime.holder(beta), "no partition fits the horizon")
@@ -579,7 +605,11 @@ def stationary_certificate(
     while sigma(lo) > target:
         lo /= 2.0
         if lo < 1e-300:
-            raise ValueError("sigma does not fall below 4*epsilon near 0")
+            raise InfeasibleCertificateError(
+                f"epsilon={epsilon:g} underflows the witness scale: sigma "
+                f"stays above 4*epsilon down to delta={lo:g}",
+                tightest={"epsilon": epsilon, "delta": lo},
+            )
     # bisection to relative width 1e-10; sigma nondecreasing makes the
     # bracket [lo, hi] valid throughout
     hi = min(Delta, 2.0 * lo)

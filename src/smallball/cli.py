@@ -733,9 +733,9 @@ def main(argv=None) -> int:
         _print_error("config", exc, pointer=exc.pointer)
     except SmallBallError as exc:
         _print_error(type(exc).__name__, exc)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         # a producer rejected a value the schema lets through, or a finite
-        # value overflowed inside it
+        # value overflowed inside it or underflowed to a zero divisor
         _print_error("config", exc, pointer="/")
     except OSError as exc:
         _print_error("io", exc)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import lru_cache, partial
@@ -35,8 +34,9 @@ from .simulate import (
     ProcessSpec,
     SeedSpec,
     _Drift,
+    _Sampler,
     _slices,
-    _x_sampler,
+    _x_law,
     path_values_block,  # noqa: F401  unused; bench/test_bench.py reads this binding
 )
 
@@ -268,7 +268,7 @@ def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
 
     The one place paths are split into chunks.  Results come back in chunk
     order; workers > 1 maps over a process pool of at most one process per
-    chunk, so job must pickle: a ValueError says so before the pool starts.
+    chunk.  Jobs carry the law of x, not its spec, so they always pickle.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -280,24 +280,18 @@ def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
     workers = min(workers, len(starts))
     if workers == 1:
         return [job(streams) for streams in blocks]
-    try:
-        pickle.dumps(job)
-    except (pickle.PicklingError, AttributeError, TypeError) as exc:
-        raise ValueError(
-            f"workers > 1 needs a job that pickles, e.g. a gaussian sigma2 "
-            f"that is a module-level function, not a lambda: {exc}") from exc
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, blocks, chunksize=1))
 
 
-def _chunk_counts(specs, grid, seed, norm, epsilons, streams):
-    """Ball counts of one chunk, one row per spec; x is simulated once per
+def _chunk_counts(law, drifts, grid, seed, norm, epsilons, streams):
+    """Ball counts of one chunk, one row per drift; x is simulated once per
     slice and composed with each drift into one reused buffer."""
     rows, slices = _slices(len(streams), grid.N)
-    x = _x_sampler(specs[0], grid, seed, streams, rows)
-    drifts = [_Drift(spec, grid, seed, streams, rows) for spec in specs]
+    x = _Sampler(grid.N, grid.delta, seed, streams, rows, law)
+    drifts = [_Drift(d, law, grid, seed, streams, rows) for d in drifts]
     y = np.empty((rows, grid.N + 1))
-    counts = np.zeros((len(specs), len(epsilons)), dtype=np.int64)
+    counts = np.zeros((len(drifts), len(epsilons)), dtype=np.int64)
     for lo, hi in slices:
         xs = x.values(lo, hi)
         for row, drift in zip(counts, drifts):
@@ -306,17 +300,17 @@ def _chunk_counts(specs, grid, seed, norm, epsilons, streams):
     return counts
 
 
-def _chunk_increment_lp(spec, grid, seed, p, streams):
-    """|X|_p of each path of one chunk."""
+def _chunk_increment_lp(law, grid, seed, p, streams):
+    """|X|_p of each path of one chunk, X of law ``law``."""
     rows, slices = _slices(len(streams), grid.N)
-    x = _x_sampler(spec, grid, seed, streams, rows)
+    x = _Sampler(grid.N, grid.delta, seed, streams, rows, law)
     return np.concatenate([increment_lp(x.values(lo, hi), p) for lo, hi in slices])
 
 
-def _chunk_drift_norms(spec, grid, seed, norm, streams):
+def _chunk_drift_norms(law, drift, grid, seed, norm, streams):
     """Norm of the drift integrand a of each path of one chunk."""
     rows, slices = _slices(len(streams), grid.N)
-    drift = _Drift(spec, grid, seed, streams, rows)
+    drift = _Drift(drift, law, grid, seed, streams, rows)
     return np.concatenate([
         _norms_block(np.broadcast_to(drift.integrand(lo, hi), (hi - lo, grid.N + 1)),
                      grid.delta, norm)
@@ -475,7 +469,8 @@ def _estimate_tables(spec, drifts, grid, epsilons, n_paths, seed, norm,
     specs = tuple(replace(spec, drift=d) for d in drifts)
     if not specs:
         raise ValueError("at least one drift variant is required")
-    job = partial(_chunk_counts, specs, grid, SeedSpec(seed), norm, eps)
+    job = partial(_chunk_counts, _x_law(spec, grid), tuple(drifts), grid,
+                  SeedSpec(seed), norm, eps)
     counts = sum(_chunk_map(job, n_paths, workers))
     return [
         _build_table(s, grid, eps, n_paths, seed, norm, confidence, row)
@@ -497,7 +492,8 @@ def partition_norm_samples(
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    job = partial(_chunk_increment_lp, spec, grid, SeedSpec(seed), p)
+    job = partial(_chunk_increment_lp, _x_law(spec, grid), grid,
+                  SeedSpec(seed), p)
     return np.concatenate(_chunk_map(job, n_paths))
 
 
@@ -510,7 +506,9 @@ def drift_norm_samples(
 ) -> np.ndarray:
     """Draws of the drift norm entering the split (sup of |a|, or its l1)."""
     drift_norm = Regime.l1() if norm.kind == "l1" else Regime.sup()
-    job = partial(_chunk_drift_norms, spec, grid, SeedSpec(seed), drift_norm)
+    law = _x_law(spec, grid) if spec.drift.kind == "shared_fbm" else None
+    job = partial(_chunk_drift_norms, law, spec.drift, grid, SeedSpec(seed),
+                  drift_norm)
     return np.concatenate(_chunk_map(job, n_paths))
 
 

@@ -14,18 +14,19 @@ the array the sampler transforms (for fGn, the interleaved real and
 imaginary slots of the path's half-spectrum), and one in-place multiply
 turns them into the spectral or increment values.
 
-One kernel samples every block: ``_Sampler`` (the centered process, or an
-independent fbm drift) and ``_Drift`` (the composition y = x + int a) do
-their set-up once per block of streams and then run draws, spectral fill,
-irfft, running sums and composition on one row slice at a time, in place,
-in buffers every slice reuses.  ``_slices`` is the one rule that cuts a
-block into slices of about 2^16 values (``_SLICE_VALUES``), the cache
-unit, one path at a time for longer paths.  The Monte Carlo chunks of
-``mcverify`` (the pool and reduction unit) and the public blocks,
-``fgn_increments_block`` (fGn increments) and ``path_values_block``
-(values of y), stream through the same slices, the public blocks into a
-new array of their own.  A row's bytes do not depend on the slice it is
-sampled in.
+One kernel samples every block: ``_Sampler`` (a centered process of a
+given law) and ``_Drift`` (the composition y = x + int a) do their set-up
+once per block of streams and then run draws, spectral fill, irfft,
+running sums and composition on one row slice at a time, in place, in
+buffers every slice reuses.  The law of x, a Hurst index or the gaussian
+kind's sampling factor, is derived once per call (``_x_law``) and shared
+by its blocks.  ``_slices`` is the one rule that cuts a block into slices
+of about 2^16 values (``_SLICE_VALUES``), the cache unit, one path at a
+time for longer paths.  The Monte Carlo chunks of ``mcverify`` (the pool
+and reduction unit) and the public blocks, ``fgn_increments_block`` and
+``path_values_block`` (values of y), stream through the same slices, the
+public blocks into a new array of their own.  A row's bytes do not
+depend on the slice it is sampled in.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 from scipy import special as _special
 
 from .errors import EmbeddingFailureError
+from .gausscov import IncrementalVariance, _check_hurst, increment_covariance
 from .paths import UniformGrid
 
 __all__ = [
@@ -207,11 +209,6 @@ def fgn_autocovariance(H: float, lags) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
 
 
-def _check_hurst(H):
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1), got {H}")
-
-
 @lru_cache(maxsize=32)
 def _embedding_eigenvalues(H: float, N: int) -> np.ndarray:
     """Eigenvalues of the length-2N circulant extension of rho_H."""
@@ -268,26 +265,26 @@ class _Sampler:
     width delta, sampled one row slice at a time into buffers of ``rows``
     rows that every slice reuses.
 
-    The set-up runs once per block: the SFC64 states of its streams, the
-    spectral coefficients (fGn with H != 1/2, cached per (H, N, delta)),
-    and the caller's sampling ``factor`` F (gaussian kind, increments
-    z F^T).  ``increments(lo, hi)`` and ``values(lo, hi)`` sample rows
-    lo..hi-1 of the block and return views into the buffers, which the
-    next call overwrites.  A row depends only on its stream, not on the
-    slice it is sampled in.
+    ``law`` is a Hurst index H (fGn increments) or a sampling factor F
+    (increments z F^T).  The set-up runs once per block: the SFC64 states
+    of its streams and the spectral coefficients (fGn with H != 1/2,
+    cached per (H, N, delta)).  ``increments(lo, hi)`` and ``values(lo,
+    hi)`` sample rows lo..hi-1 of the block and return views into the
+    buffers, which the next call overwrites.  A row depends only on its
+    stream, not on the slice it is sampled in.
     """
 
     def __init__(self, N: int, delta: float, seed: SeedSpec, streams, rows: int,
-                 H: float = 0.5, factor: Optional[np.ndarray] = None):
+                 law):
         self._states = _sfc64_states(seed.seed, seed.purpose, streams)
         self._rng = np.random.Generator(np.random.SFC64(0))
-        self._N, self._delta, self._H, self._factor = N, delta, H, factor
+        self._N, self._delta, self._law = N, delta, law
         self._values = np.empty((rows, N + 1))
         self._values[:, 0] = 0.0
-        if factor is not None:
+        if isinstance(law, np.ndarray):
             self._draws = np.empty((rows, N))
             self._inc = np.empty((rows, N))
-        elif H == 0.5:
+        elif law == 0.5:
             # embedding eigenvalues are identically 1: increments are iid,
             # drawn where their running sums go
             self._draws = self._inc = self._values[:, 1:]
@@ -303,17 +300,17 @@ class _Sampler:
         draws = self._draws[:r]
         for row, rng in zip(draws, _generators(self._states[lo:hi], self._rng)):
             rng.standard_normal(out=row)
-        if self._factor is not None:
+        if isinstance(self._law, np.ndarray):
             # numpy takes a one-row product through gemv, whose sums differ
             # in the last bits from gemm's, and gemm rows do not depend on
             # the row count: a lone row is multiplied with a stale neighbour
             m = min(max(r, 2), len(self._draws))
-            np.matmul(self._draws[:m], self._factor.T, out=self._inc[:m])
-        elif self._H != 0.5:
-            _fgn_from_draws(self._H, self._N, self._delta, draws,
+            np.matmul(self._draws[:m], self._law.T, out=self._inc[:m])
+        elif self._law != 0.5:
+            _fgn_from_draws(self._law, self._N, self._delta, draws,
                             out=self._wave[:r])
         else:
-            draws *= self._delta**self._H
+            draws *= self._delta**self._law
         return self._inc[:r]
 
     def values(self, lo: int, hi: int) -> np.ndarray:
@@ -351,7 +348,7 @@ def fgn_increments_block(
     if delta <= 0:
         raise ValueError("delta must be positive")
     rows, slices = _slices(len(streams), N)
-    sampler = _Sampler(N, delta, seed, streams, rows, H=H)
+    sampler = _Sampler(N, delta, seed, streams, rows, H)
     out = np.empty((len(streams), N))
     for lo, hi in slices:
         out[lo:hi] = sampler.increments(lo, hi)
@@ -527,35 +524,31 @@ class ProcessSpec:
         return base if self.drift.kind == "none" else f"{base}+{self.drift.kind}"
 
 
-def _x_sampler(spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec, streams,
-               rows: int) -> _Sampler:
-    """The sampler of spec's centered process x, on the purpose-0 streams;
-    the gaussian kind's covariance and factor are built here, once."""
-    seed = seed.with_purpose(PURPOSE_PROCESS)
-    if spec.kind in ("fbm", "bm"):
-        return _Sampler(grid.N, grid.delta, seed, streams, rows, H=spec.H)
-    from .gausscov import IncrementalVariance, increment_covariance
-
+def _x_law(spec: ProcessSpec, grid: UniformGrid):
+    """The law of spec's centered process x on grid, as ``_Sampler`` takes
+    it: the Hurst index, or for the gaussian kind the sampling factor of
+    its increment covariance."""
+    if spec.kind != "gaussian":
+        return spec.H
     cov = increment_covariance(IncrementalVariance(spec.sigma2), grid)
-    return _Sampler(grid.N, grid.delta, seed, streams, rows,
-                    factor=cov.sampling_factor())
+    return cov.sampling_factor()
 
 
 class _Drift:
-    """The drift of one ProcessSpec over a block of streams, a row slice at
-    a time.
+    """A drift over a block of streams, a row slice at a time.
 
     A deterministic drift is integrated once per block.  A random
-    integrand is sampled on first use: ``shared_fbm`` is x itself, and an
-    independent fbm drift samples the purpose-1 substream of each stream
-    id, so it cannot perturb the process draws.
+    integrand is sampled on first use: ``shared_fbm`` is x itself, of law
+    ``law`` on the streams of ``seed`` (purpose 0), and an independent fbm
+    drift samples the purpose-1 substream of each stream id, so it cannot
+    perturb the process draws.
     """
 
-    def __init__(self, spec: ProcessSpec, grid: UniformGrid, seed: SeedSpec,
-                 streams, rows: int):
-        self._block = (spec, grid, seed, streams, rows)
-        self._kind, self._delta = spec.drift.kind, grid.delta
-        self._det = spec.drift.deterministic_values(grid)
+    def __init__(self, drift: DriftSpec, law, grid: UniformGrid,
+                 seed: SeedSpec, streams, rows: int):
+        self._block = (drift, law, grid, seed, streams, rows)
+        self._kind, self._delta = drift.kind, grid.delta
+        self._det = drift.deterministic_values(grid)
         if self._det is not None:
             # left Riemann sums of delta * a, from 0
             self._integral = np.zeros(grid.N + 1)
@@ -564,11 +557,11 @@ class _Drift:
 
     @cached_property
     def _paths(self) -> _Sampler:
-        spec, grid, seed, streams, rows = self._block
+        drift, law, grid, seed, streams, rows = self._block
         if self._kind == "shared_fbm":
-            return _x_sampler(spec, grid, seed, streams, rows)
+            return _Sampler(grid.N, grid.delta, seed, streams, rows, law)
         return _Sampler(grid.N, grid.delta, seed.with_purpose(PURPOSE_DRIFT),
-                        streams, rows, H=spec.drift.H2)
+                        streams, rows, drift.H2)
 
     def integrand(self, lo: int, hi: int) -> np.ndarray:
         """The integrand a on rows lo..hi-1: one (N+1,) row shared by every
@@ -597,8 +590,10 @@ def path_values_block(
     """Values of y = x + int_0^t a ds on the grid for a block of streams:
     (B, N+1), the integral a left Riemann sum; without a drift, x itself."""
     rows, slices = _slices(len(streams), grid.N)
-    x = _x_sampler(spec, grid, seed, streams, rows)
-    drift = _Drift(spec, grid, seed, streams, rows)
+    law = _x_law(spec, grid)
+    seed = seed.with_purpose(PURPOSE_PROCESS)
+    x = _Sampler(grid.N, grid.delta, seed, streams, rows, law)
+    drift = _Drift(spec.drift, law, grid, seed, streams, rows)
     out = np.empty((len(streams), grid.N + 1))
     for lo, hi in slices:
         # numpy skips the copy when compose wrote into out's own rows

@@ -246,6 +246,52 @@ class TestBound:
         assert code == 2
         assert parse_error(err)["type"] == "InfeasibleCertificateError"
 
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "fbm_holder", "H": 0.4, "beta": 0.1, "epsilons": [1e-300]},
+        {"kind": "holder_indep", "H": 0.4, "beta": 0.5, "c_inc": 1,
+         "holder_bound": 1, "epsilons": [1e-300]},
+    ], ids=["fbm_holder", "holder_indep"])
+    def test_radius_that_underflows_the_spacing_is_infeasible(self, cfg, tmp_path,
+                                                              capsys):
+        code, out, err = run_cli(tmp_path, capsys, "bound", cfg)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert parse_error(err) == {
+            "type": "InfeasibleCertificateError",
+            "message": "epsilon=1e-300 underflows the witness spacing delta to 0"}
+
+    @pytest.mark.parametrize("cfg,reason", [
+        ({"kind": "gaussian_class", "H": 0.3, "epsilons": [1e-300]},
+         "epsilon=1e-300 underflows the witness spacing delta to 0"),
+        # a subnormal spacing: T / delta overflows
+        ({"process": {"kind": "bm"}, "epsilons": [1e-160]},
+         "epsilon=1e-160 underflows the witness spacing delta to 1.59998e-319"),
+        ({"kind": "stationary", "H": 0.3, "epsilons": [1e-300]},
+         "epsilon=1e-300 underflows the witness scale: sigma stays above "
+         "4*epsilon down to delta=7.46611e-301"),
+        # N = T / delta cells would ask s_weight for 2e301 terms
+        ({"kind": "gaussian_class", "H": 0.3, "T": 1e300, "epsilons": [0.1]},
+         "the discrete witness at epsilon=0.1 has N=2.121e+301 cells, "
+         "more than 134217728"),
+    ], ids=["epsilon-1e-300", "bm-epsilon-1e-160", "stationary-epsilon-1e-300",
+            "T-1e300"])
+    def test_oversized_witness_is_vacuous(self, cfg, reason, tmp_path,
+                                                capsys):
+        code, out, _ = run_cli(tmp_path, capsys, "bound", cfg)
+        assert code == 0
+        cert = json.loads(out)["certificates"][0]
+        assert cert["flags"] == ["VACUOUS"]
+        assert cert["provenance"]["reason"] == reason
+
+    def test_divisor_that_underflows_is_a_config_error(self, tmp_path, capsys):
+        # 8 holder_bound^2 underflows to 0 inside holder_indep_certificate
+        cfg = {"kind": "holder_indep", "H": 0.3, "beta": 0.5, "c_inc": 1,
+               "holder_bound": 1e-300, "epsilons": [0.1]}
+        code, _, err = run_cli(tmp_path, capsys, "bound", cfg)
+        assert code == 2
+        assert parse_error(err) == {"type": "config", "pointer": "/",
+                                    "message": "float division by zero"}
+
     def test_fbm_holder_beta_above_h_is_a_config_error(self, tmp_path, capsys):
         cfg = {"kind": "fbm_holder", "H": 0.3, "beta": 0.4, "epsilons": [0.1]}
         code, _, err = run_cli(tmp_path, capsys, "bound", cfg)
@@ -355,6 +401,16 @@ class TestVerify:
         text = out.read_text()
         assert text.startswith("epsilon,p_hat,ci_lo,ci_hi,bound,verdict")
         assert len(text.strip().split("\n")) == 4
+
+    def test_radius_that_underflows_the_spacing_is_vacuous(self, tmp_path, capsys):
+        # the default suite's gaussian_class witness underflows at 1e-300
+        cfg = {"process": {"kind": "bm"}, "N": 16, "n_paths": 1000,
+               "epsilons": [1e-300]}
+        code, out, _ = run_cli(tmp_path, capsys, "verify", cfg)
+        assert code == 0
+        report = json.loads(out)
+        assert report["counts"] == {"PASS": 0, "FAIL": 0, "VACUOUS": 1}
+        assert report["rows"][0]["p_hat"] == 0.0
 
     def test_explicit_bound_section(self, tmp_path, capsys):
         cfg = {
@@ -791,7 +847,7 @@ class TestProducerErrors:
 # --seed/--paths/--workers values.  Bases and pools keep
 # every run cheap: grids of at most 64 steps, at most 1000 paths (the fewest
 # an estimate accepts), at most 2 workers, and radii and exponents for which
-# the certificate witness grids stay small.
+# the certificate witness grids stay small or, at 1e-300, underflow.
 _FUZZ_BASES = [
     ("feasibility", {"H": 0.75, "beta": 0.6, "theta": 0.2}),
     ("simulate", {"process": {"kind": "fbm", "H": 0.3,
@@ -831,7 +887,7 @@ _FUZZ_BASES = [
 _FUZZ_VALUES = st.sampled_from([
     -1, 0, 1, 2, 4, -1.0, 0.0, 0.3, 0.75, 1.5, 64.0,
     "x", "fbm", True, None, [], [0.3], {}, {"kind": "bm"},
-    float("inf"), float("nan"), 1e308, -1e308,
+    float("inf"), float("nan"), 1e308, -1e308, 1e-300, [1e-300],
 ])
 _FUZZ_KEYS = st.sampled_from([
     "command", "process", "dist", "kind", "H", "drift", "level", "amplitude",

@@ -6,6 +6,7 @@ cheap.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,26 @@ class TestRowWeights:
         lags = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
         brute = ((1.0 + lags) ** (2 * H - 2)).sum(axis=1).max()
         assert s_weight(H, N) == pytest.approx(brute, rel=1e-13)
+
+    @pytest.mark.parametrize("H", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("N", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1,
+                                   2**17 + 2, 3 * 2**16 + 1, 200001])
+    def test_blocked_s_weight_equals_one_cumsum(self, H, N):
+        # the blocks of prefix sums and the half-range pairing reproduce
+        # one cumsum over 1..N paired at every j, bit for bit
+        c = np.concatenate([[0.0], np.cumsum(np.arange(1, N + 1.0) ** (2 * H - 2))])
+        j = np.arange(1, N + 1)
+        assert s_weight(H, N) == float(np.max(c[j] + c[N - j + 1] - 1.0))
+
+    def test_s_weight_runs_in_constant_memory(self):
+        s_weight(0.3, 10)
+        tracemalloc.start()
+        try:
+            s_weight(0.3, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # the whole prefix sum would be 80 MB
 
     def test_s_weight_envelope_dominates(self):
         for H in (0.25, 0.4, 0.5, 0.6, 0.75):

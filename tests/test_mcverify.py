@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm as normal
 
-import smallball.gausscov
 import smallball.mcverify
+import smallball.simulate
 from smallball.bounds import Certificate, Regime
 from smallball.errors import InvalidComparisonError
 from smallball.mcverify import (
@@ -38,7 +38,8 @@ from smallball.simulate import (
     DriftSpec,
     ProcessSpec,
     SeedSpec,
-    _x_sampler,
+    _Sampler,
+    _x_law,
     path_values_block,
 )
 
@@ -204,17 +205,15 @@ class TestEstimate:
         assert sizes == [pool_size]  # 1000 paths are 4 chunks
         assert pooled.to_csv_text() == serial.to_csv_text()
 
-    def test_unpicklable_job_is_a_value_error_before_the_pool(self, monkeypatch):
-        # a lambda sigma2 cannot reach a pool worker: say so up front
-        # instead of a raw PicklingError from the pool
-        def no_pool(max_workers):
-            raise AssertionError("the pool must not start")
-
-        monkeypatch.setattr("smallball.mcverify.ProcessPoolExecutor", no_pool)
+    def test_lambda_sigma2_runs_in_the_pool(self):
+        # a chunk job carries the sampling factor, not the sigma2 callable,
+        # so a lambda that cannot pickle still reaches the pool workers
         spec = ProcessSpec(kind="gaussian", sigma2=lambda s, t: abs(t - s) ** 0.8)
-        with pytest.raises(ValueError, match="module-level function"):
-            estimate_small_ball(spec, UniformGrid(1.0, 16), [0.5], 1000, seed=2,
-                                workers=2)
+        grid = UniformGrid(1.0, 16)
+        serial = estimate_small_ball(spec, grid, [0.5, 1.0], 1000, seed=2)
+        pooled = estimate_small_ball(spec, grid, [0.5, 1.0], 1000, seed=2,
+                                     workers=2)
+        assert pooled.to_csv_text() == serial.to_csv_text()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_needs_at_least_one_worker(self, workers):
@@ -522,8 +521,8 @@ class TestSlices:
 
     def _counts(self, drifts, eps, norm=Regime.sup()):
         # the chunk jobs of estimate_small_ball_drifts, below its 1000-path floor
-        specs = tuple(replace(self.SPEC, drift=d) for d in drifts)
-        job = partial(smallball.mcverify._chunk_counts, specs, self.GRID,
+        job = partial(smallball.mcverify._chunk_counts,
+                      _x_law(self.SPEC, self.GRID), tuple(drifts), self.GRID,
                       SeedSpec(self.SEED), norm, np.asarray(eps))
         return sum(_chunk_map(job, self.PATHS))
 
@@ -566,29 +565,50 @@ class TestSlices:
         # gaussian kind multiplies like every other (no one-row product)
         grid = UniformGrid(1.0, 40)
         streams = np.array([3, 0, 7, 2**40, 1, 9, 4, 12, 5])
-        sampler = _x_sampler(spec, grid, SeedSpec(6), streams, 4)
+        sampler = _Sampler(grid.N, grid.delta, SeedSpec(6), streams, 4,
+                           _x_law(spec, grid))
         sliced = np.concatenate([sampler.values(lo, min(lo + 4, 9)).copy()
                                  for lo in range(0, 9, 4)])
         whole = path_values_block(spec, grid, SeedSpec(6), streams)
         np.testing.assert_array_equal(sliced, whole)
 
-    def test_gaussian_factor_is_built_once_per_chunk(self, monkeypatch):
+    @staticmethod
+    def _count_builds(monkeypatch):
         built = []
-        build = smallball.gausscov.increment_covariance
+        build = smallball.simulate.increment_covariance
 
         def counting(iv, grid):
             built.append(grid.N)
             return build(iv, grid)
 
-        monkeypatch.setattr(smallball.gausscov, "increment_covariance", counting)
+        monkeypatch.setattr(smallball.simulate, "increment_covariance", counting)
+        return built
+
+    def test_gaussian_factor_is_built_once_per_estimate(self, monkeypatch):
+        built = self._count_builds(monkeypatch)
         spec = ProcessSpec(kind="gaussian", sigma2=lambda s, t: abs(t - s) ** 0.8)
         table = estimate_small_ball(spec, UniformGrid(1.0, 1000),
                                     [0.6, 0.9, 1.2, 2.0, 5.0], 1000, 31)
-        assert built == [1000] * 4  # 4 chunks of 4 slices each
+        assert built == [1000]  # not once per chunk: 4 chunks of 4 slices each
         # the bytes of the table sampled by whole chunks
         text = table.to_csv_text()
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f7d3add77edb45ed05620fe3855665cbc40da47a48ddc3a5333be3074ad81bcd")
+
+    def test_gaussian_norm_samples_build_the_factor_once_per_call(self, monkeypatch):
+        built = self._count_builds(monkeypatch)
+        spec = ProcessSpec(kind="gaussian", sigma2=lambda s, t: abs(t - s) ** 0.8,
+                           drift=DriftSpec(kind="shared_fbm"))
+        grid = UniformGrid(1.0, 64)
+        x_norms = partition_norm_samples(spec, grid, 2.0, 600, 4)
+        assert built == [64]  # 600 paths are 3 chunks
+        a_sups = drift_norm_samples(spec, grid, Regime.sup(), 600, 4)
+        assert built == [64, 64]
+        # the shared drift's integrand is x itself, on the same streams
+        x = path_values_block(replace(spec, drift=DriftSpec()), grid,
+                              SeedSpec(4), np.arange(600))
+        np.testing.assert_array_equal(x_norms, increment_lp(x, 2.0))
+        np.testing.assert_array_equal(a_sups, _norms_block(x, grid.delta, Regime.sup()))
 
     def test_norm_samples_match_dense_values(self, drift_integrand):
         shared = replace(self.SPEC, drift=DriftSpec(kind="shared_fbm"))
