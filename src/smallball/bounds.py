@@ -132,6 +132,21 @@ def _check_spacing(delta: float, epsilon: float) -> None:
         )
 
 
+def _cells(T: float, delta: float, epsilon: float) -> int:
+    """floor(T / delta) witness cells of spacing delta in the horizon, up
+    to a 1e-12 tolerance.  Refuses a spacing that underflows and a cell
+    count that overflows."""
+    _check_spacing(delta, epsilon)
+    cells = T / delta
+    if not math.isfinite(cells):
+        raise InfeasibleCertificateError(
+            f"epsilon={epsilon:g} gives T / delta = {T:g} / {delta:g} "
+            "witness cells, more than a float holds",
+            tightest={"epsilon": epsilon, "delta": delta, "T": T},
+        )
+    return int(math.floor(cells + 1e-12))
+
+
 def drift_threshold(regime: Regime, p: float, N: int, delta: float, I: float) -> float:
     """Level x such that drift_norm(a) < x keeps the split valid.
 
@@ -322,12 +337,14 @@ def holder_indep_certificate(
         c_inc * c_inc / (8.0 * holder_bound * holder_bound)
         * (4.0 / c_inc) ** ((2.0 * beta - 2.0 * H - 1.0) / beta)
     )
-    delta = (4.0 * epsilon / c_inc) ** (1.0 / beta)
-    _check_spacing(delta, epsilon)
+    try:
+        delta = (4.0 * epsilon / c_inc) ** (1.0 / beta)
+    except OverflowError:  # a spacing that overflows fits no horizon
+        delta = math.inf
+    N = _cells(T, delta, epsilon)
     if delta > T:
         return Certificate.vacuous_certificate(
             epsilon, T, Regime.sup(), "no partition fits the horizon")
-    N = int(math.floor(T / delta + 1e-12))
     term = min(1.0, 2.0 * math.exp(-c_explicit * T * epsilon ** (-gamma)))
     return Certificate.build(
         epsilon=epsilon, T=T, regime=Regime.sup(), p=1.0, N=N, delta=delta,
@@ -343,7 +360,7 @@ def holder_indep_certificate(
 
 
 # the most cells a discrete gaussian_class witness may have: s_weight sums
-# one term per cell, about 3 s for 2^27 terms on a 2-core Xeon
+# one term per two cells, about 0.9 s for 2^27 cells on a 2-core Xeon
 _MAX_CLASS_CELLS = 2**27
 
 
@@ -400,7 +417,7 @@ def bound_gaussian_class(
     u = 64.0 if drift_model is not None else 16.0
 
     delta_seed = _class_seed_delta(epsilon, c, beta)
-    _check_spacing(delta_seed, epsilon)
+    _check_spacing(delta_seed, epsilon)  # on the seed: snapping could hide it
     if delta_seed > T:
         raise InfeasibleCertificateError(
             f"epsilon={epsilon:g} needs delta={delta_seed:g} > T={T:g}; no "
@@ -418,7 +435,7 @@ def bound_gaussian_class(
             f"mesh snapping pushed delta to {delta_d:g} > T={T:g}",
             tightest={"delta_seed": delta_seed, "delta_mesh": delta_mesh, "T": T},
         )
-    N_d = int(math.floor(T / delta_d + 1e-12))
+    N_d = _cells(T, delta_d, epsilon)
     I_d = math.sqrt(c * N_d) * delta_d ** beta
     if not feasible(regime, 2.0, N_d, delta_d, I_d, epsilon, T):
         # the seed solves sqrt(c) delta^beta = 4 eps with equality, so pow
@@ -427,7 +444,7 @@ def bound_gaussian_class(
         bumped = delta_d * (1.0 + 1e-12) if delta_mesh is None else delta_d + delta_mesh
         if bumped <= T:
             delta_d = bumped
-            N_d = int(math.floor(T / delta_d + 1e-12))
+            N_d = _cells(T, delta_d, epsilon)
             I_d = math.sqrt(c * N_d) * delta_d ** beta
     if not feasible(regime, 2.0, N_d, delta_d, I_d, epsilon, T):
         raise InfeasibleCertificateError(
@@ -549,11 +566,10 @@ def fbm_holder_certificate(
     gamma = 1.0 / (H - beta)
     c2 = T * 2.0 ** (-gamma) / (16.0 * c_deriv * s_weight_envelope(H, math.inf))
     delta = (2.0 * epsilon) ** gamma
-    _check_spacing(delta, epsilon)
+    N = _cells(T, delta, epsilon)
     if delta > T:
         return Certificate.vacuous_certificate(
             epsilon, T, Regime.holder(beta), "no partition fits the horizon")
-    N = int(math.floor(T / delta + 1e-12))
     return Certificate.build(
         epsilon=epsilon, T=T, regime=Regime.holder(beta), p=2.0, N=N,
         delta=delta, I=math.sqrt(N) * delta**H,
@@ -628,7 +644,7 @@ def stationary_certificate(
         term = min(1.0, 2.0 * math.exp(-c2 * T / delta_star))
     return Certificate.build(
         epsilon=epsilon, T=T, regime=Regime.sup(), p=2.0,
-        N=max(1, int(math.floor(T / delta_star))), delta=delta_star,
+        N=max(1, _cells(T, delta_star, epsilon)), delta=delta_star,
         I=None, term_concentration=term, term_drift=0.0, mode="EXPLICIT",
         provenance={"delta_star": delta_star, "c2": c2,
                     "symbol_sup": symbol_sup_value, "ratio_bound": ratio_bound},

@@ -396,55 +396,34 @@ def increment_covariance(iv: IncrementalVariance, grid: UniformGrid) -> Incremen
 _S_BLOCK = 2**16
 
 
-def _prefix_block(power: float, lo: int, N: int, carry: float) -> np.ndarray:
-    """c[lo], .., c[hi] of c[k] = sum_{i <= k} i^power, hi = min(lo +
-    _S_BLOCK, N), summed on from the carried total c[lo] in the order of
-    one cumsum over 1..N, so every value is bit for bit that cumsum's."""
-    k = np.arange(lo + 1, min(lo + _S_BLOCK, N) + 1, dtype=float)
-    return np.cumsum(np.concatenate(([carry], k**power)))
-
-
 def s_weight(H: float, N: int) -> float:
     """max_j sum_k (1+|k-j|)^{2H-2}, computed exactly.
 
     This is the row weight of the covariance cover (1+|i-j|)^{2H-2}; it
     stays bounded for H < 1/2, grows like log N at H = 1/2 and like
     N^{2H-1} for H > 1/2.  With c the prefix sums of k^{2H-2}, row j
-    weighs c[j] + c[N+1-j] - 1, symmetric in j <-> N+1-j, so only
-    j <= ceil(N/2) is paired.  c runs in blocks of _S_BLOCK terms, in
-    constant memory: one pass records c at each block start up to the
-    middle, then j walks down from the middle block by block while
-    N+1-j walks up, each block summed on from the total carried into it.
+    weighs w(j) = c[j] + c[N+1-j] - 1, and w(j+1) - w(j) = (j+1)^{2H-2}
+    - (N+1-j)^{2H-2} is >= 0 exactly when j <= N/2, since k^{2H-2} does
+    not increase in k for H <= 1.  So w peaks at the middle row
+    m = ceil(N/2), and one prefix sum up to N+1-m gives the answer
+    c[m] + c[N+1-m] - 1.  c runs in blocks of _S_BLOCK terms, in constant
+    memory, each block summed on from the total carried into it, so
+    every value is bit for bit that of one cumsum over 1..N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if not H <= 1.0:
+        raise ValueError("H must be <= 1")
     power, m = 2.0 * H - 2.0, (N + 1) // 2
-    B = _S_BLOCK
-    carries = [0.0]  # c at each block start lo = 0, B, .. <= N - m
-    while len(carries) * B <= N - m:
-        lo = (len(carries) - 1) * B
-        carries.append(_prefix_block(power, lo, N, carries[-1])[-1])
-    maxima, lb, ub = [], None, None
-    j = m
-    while j >= 1:
-        # c[j] lies in block (j-1) // B and c[N+1-j] in block (N-j) // B
-        if lb != (j - 1) // B:
-            lb = (j - 1) // B
-            low = _prefix_block(power, lb * B, N, carries[lb])
-        if ub != (N - j) // B:
-            ub = (N - j) // B
-            if ub == lb:
-                high = low
-            else:
-                carry = carries[ub] if ub < len(carries) else high[-1]
-                high = _prefix_block(power, ub * B, N, carry)
-        # j down to the first end of either block
-        stop = max(lb * B + 1, N + 1 - (ub + 1) * B)
-        pairs = (low[stop - lb * B: j - lb * B + 1]
-                 + high[N + 1 - j - ub * B: N + 2 - stop - ub * B][::-1])
-        maxima.append((pairs - 1.0).max())
-        j = stop - 1
-    return float(np.max(maxima))
+    top = N + 1 - m
+    lo, carry, c_m = 0, 0.0, 0.0
+    while lo < top:
+        k = np.arange(lo + 1, min(lo + _S_BLOCK, top) + 1, dtype=float)
+        c = np.cumsum(np.concatenate(([carry], k**power)))
+        if lo < m <= lo + len(k):
+            c_m = c[m - lo]
+        lo, carry = lo + len(k), c[-1]
+    return float(c_m + carry - 1.0)
 
 
 def s_weight_envelope(H: float, n: float) -> float:

@@ -260,6 +260,22 @@ class TestBound:
             "type": "InfeasibleCertificateError",
             "message": "epsilon=1e-300 underflows the witness spacing delta to 0"}
 
+    @pytest.mark.parametrize("cfg,delta", [
+        ({"kind": "fbm_holder", "H": 0.4, "beta": 0.2, "T": 1e308,
+          "epsilons": [0.1]}, "0.00032"),
+        ({"kind": "holder_indep", "H": 0.3, "beta": 0.5, "c_inc": 1,
+          "holder_bound": 1, "T": 1e308, "epsilons": [0.1]}, "0.16"),
+    ], ids=["fbm_holder", "holder_indep"])
+    def test_cell_count_that_overflows_is_infeasible(self, cfg, delta, tmp_path,
+                                                     capsys):
+        code, out, err = run_cli(tmp_path, capsys, "bound", cfg)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert parse_error(err) == {
+            "type": "InfeasibleCertificateError",
+            "message": f"epsilon=0.1 gives T / delta = 1e+308 / {delta} "
+                       "witness cells, more than a float holds"}
+
     @pytest.mark.parametrize("cfg,reason", [
         ({"kind": "gaussian_class", "H": 0.3, "epsilons": [1e-300]},
          "epsilon=1e-300 underflows the witness spacing delta to 0"),
@@ -273,8 +289,23 @@ class TestBound:
         ({"kind": "gaussian_class", "H": 0.3, "T": 1e300, "epsilons": [0.1]},
          "the discrete witness at epsilon=0.1 has N=2.121e+301 cells, "
          "more than 134217728"),
+        # T / delta overflows a float
+        ({"kind": "gaussian_class", "H": 0.3, "T": 1e308, "epsilons": [0.1]},
+         "epsilon=0.1 gives T / delta = 1e+308 / 0.0471556 witness cells, "
+         "more than a float holds"),
+        ({"process": {"kind": "fbm", "H": 0.3}, "T": 1e308, "epsilons": [0.1]},
+         "epsilon=0.1 gives T / delta = 1e+308 / 0.0471556 witness cells, "
+         "more than a float holds"),
+        ({"kind": "stationary", "H": 0.3, "T": 1e308, "epsilons": [0.1]},
+         "epsilon=0.1 gives T / delta = 1e+308 / 0.0471556 witness cells, "
+         "more than a float holds"),
+        # delta = (4 epsilon / c_inc)^(1/beta) overflows a float
+        ({"kind": "holder_indep", "H": 0.3, "beta": 0.5, "c_inc": 1e-300,
+          "holder_bound": 1, "epsilons": [0.1]},
+         "no partition fits the horizon"),
     ], ids=["epsilon-1e-300", "bm-epsilon-1e-160", "stationary-epsilon-1e-300",
-            "T-1e300"])
+            "T-1e300", "T-1e308", "process-T-1e308", "stationary-T-1e308",
+            "holder_indep-c_inc-1e-300"])
     def test_oversized_witness_is_vacuous(self, cfg, reason, tmp_path,
                                                 capsys):
         code, out, _ = run_cli(tmp_path, capsys, "bound", cfg)
@@ -773,16 +804,7 @@ class TestProducerErrors:
          _not_finite("111111111111... (5001 characters)")),
         ("verify", {"process": {"kind": "bm"}, "N": 64, "n_paths": 1000,
                     "epsilons": [math.inf]}, "/", _not_finite("Infinity")),
-        # finite numbers that overflow inside a certificate builder
-        ("bound", {"kind": "fbm_holder", "H": 0.4, "beta": 0.2, "T": 1e308,
-                   "epsilons": [0.1]}, "/",
-         "cannot convert float infinity to integer"),
-        ("bound", {"kind": "holder_indep", "H": 0.3, "beta": 0.5, "c_inc": 1,
-                   "holder_bound": 1, "T": 1e308, "epsilons": [0.1]}, "/",
-         "cannot convert float infinity to integer"),
-        ("bound", {"kind": "stationary", "H": 0.3, "T": 1e308,
-                   "epsilons": [0.1]}, "/",
-         "cannot convert float infinity to integer"),
+        # a finite number that overflows inside a certificate builder
         ("bound", {"kind": "iid_sum", "dist": {"kind": "uniform",
                                                "low": -1e308, "high": 1e308},
                    "n": 4, "epsilons": [0.1]}, "/",
@@ -812,9 +834,7 @@ class TestProducerErrors:
             "toeplitz-N", "toeplitz-N-1e30", "bound-mesh", "gaussian_class-T-inf",
             "holder_indep-T-inf", "fbm_holder-T-inf", "stationary-T-inf",
             "stationary-Delta-inf", "T-minus-inf", "H-nan", "T-1e999",
-            "T-long-integer", "verify-epsilon-inf", "fbm_holder-T-1e308",
-            "holder_indep-T-1e308", "stationary-T-1e308",
-            "iid_sum-uniform-1e308", "verify-bm-H", "verify-bound-T",
+            "T-long-integer", "verify-epsilon-inf", "iid_sum-uniform-1e308", "verify-bm-H", "verify-bound-T",
             "verify-bound-T-default", "estimate-drift-H2", "verify-drift-H2"])
     def test_config_error(self, command, config, pointer, message, tmp_path,
                           capsys):

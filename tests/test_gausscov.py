@@ -348,12 +348,13 @@ class TestRowWeights:
         brute = ((1.0 + lags) ** (2 * H - 2)).sum(axis=1).max()
         assert s_weight(H, N) == pytest.approx(brute, rel=1e-13)
 
-    @pytest.mark.parametrize("H", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.7, 0.95])
     @pytest.mark.parametrize("N", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1,
-                                   2**17 + 2, 3 * 2**16 + 1, 200001])
+                                   2**17 + 1, 2**17 + 2, 3 * 2**16 + 1,
+                                   5 * 2**16 - 1, 200001, 1000003])
     def test_blocked_s_weight_equals_one_cumsum(self, H, N):
-        # the blocks of prefix sums and the half-range pairing reproduce
-        # one cumsum over 1..N paired at every j, bit for bit
+        # the blocks of prefix sums read at the middle row reproduce one
+        # cumsum over 1..N paired at every j, bit for bit
         c = np.concatenate([[0.0], np.cumsum(np.arange(1, N + 1.0) ** (2 * H - 2))])
         j = np.arange(1, N + 1)
         assert s_weight(H, N) == float(np.max(c[j] + c[N - j + 1] - 1.0))
@@ -398,6 +399,8 @@ class TestRowWeights:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             s_weight(0.3, 0)
+        with pytest.raises(ValueError):
+            s_weight(1.5, 8)  # rows would peak at the ends, not the middle
         with pytest.raises(ValueError):
             s_weight_envelope(0.3, 0.5)
         with pytest.raises(ValueError):
