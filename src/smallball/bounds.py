@@ -369,6 +369,12 @@ def _class_seed_delta(epsilon: float, c: float, beta: float) -> float:
     return (4.0 * epsilon / math.sqrt(c)) ** (1.0 / beta)
 
 
+def _finite_or_null(entries: dict) -> dict:
+    """entries with every non-finite float replaced by None (JSON null)."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in entries.items()}
+
+
 def bound_gaussian_class(
     H: float,
     beta: float,
@@ -511,7 +517,10 @@ def bound_gaussian_class(
         provenance={
             "class": {"H": H, "beta": beta, "c": c, "C": C, "c_deriv": c_deriv},
             "centering": "sqrt_second_moment",
-            "envelope": {
+            # an entry that overflows (the real-valued witness of a horizon
+            # of more cells than a float holds, an exponent past the float
+            # range) is written as null
+            "envelope": _finite_or_null({
                 "C1": 2.0,
                 "C2": c2,
                 "gamma": gamma,
@@ -521,12 +530,12 @@ def bound_gaussian_class(
                 "delta_seed": delta_seed,
                 "s_weight_envelope": s_env,
                 "dominates_discrete": envelope_ok,
-            },
-            "discrete": {
+            }),
+            "discrete": _finite_or_null({
                 "exponent": exponent_d,
                 "term_concentration": term_conc_d,
                 "gamma_two_norm_bound": norm2_d,
-            },
+            }),
             "threshold_concentration": h_d,
             "threshold_drift": x_d,
             "delta_mesh": delta_mesh,
@@ -565,7 +574,10 @@ def fbm_holder_certificate(
         raise ValueError("epsilon, T, c_deriv must be positive")
     gamma = 1.0 / (H - beta)
     c2 = T * 2.0 ** (-gamma) / (16.0 * c_deriv * s_weight_envelope(H, math.inf))
-    delta = (2.0 * epsilon) ** gamma
+    try:
+        delta = (2.0 * epsilon) ** gamma
+    except OverflowError:  # a spacing that overflows fits no horizon
+        delta = math.inf
     N = _cells(T, delta, epsilon)
     if delta > T:
         return Certificate.vacuous_certificate(

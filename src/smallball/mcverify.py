@@ -12,6 +12,15 @@ chunk job streams its paths through the row slices of
 ``simulate._slices``, the unit of the cache: the simulate kernel samples
 a slice into buffers every slice of the chunk reuses, and only its counts
 or norms leave it.
+
+A sup-norm chunk of fGn with H != 1/2 under deterministic drifts screens
+each slice at its raw draws (``_sup_screen``): rows whose values at a few
+screen points already lie outside the largest radius, by more than a
+bound on the rounding of the full path, skip the spectral multiply,
+irfft, running sums, composition and count.  Such a row counts at no
+radius, so every count, table and report keeps its bytes; Brownian
+motion (no FFT to skip), the gaussian kind, random drifts and the l1 and
+Holder norms keep the unscreened path.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .simulate import (
     SeedSpec,
     _Drift,
     _Sampler,
+    _screen_weights,
     _slices,
     _x_law,
     path_values_block,  # noqa: F401  unused; bench/test_bench.py reads this binding
@@ -68,6 +78,9 @@ _MIN_PATHS = 1000
 # the Holder counter scans lags below _WALK one at a time, then walks dyadic
 # lag blocks from lag _WALK
 _WALK = 4
+
+# screen points read per stage of the sup-ball screen
+_SCREEN_STAGE = 4
 
 
 # the path norm of the small-deviation event is the certificate's regime;
@@ -286,18 +299,102 @@ def _chunk_map(job, n_paths: int, workers: int = 1) -> list:
 
 def _chunk_counts(law, drifts, grid, seed, norm, epsilons, streams):
     """Ball counts of one chunk, one row per drift; x is simulated once per
-    slice and composed with each drift into one reused buffer."""
+    slice and composed with each drift into one reused buffer.  Where the
+    sup-ball screen applies, only the rows it keeps are transformed,
+    composed and counted."""
     rows, slices = _slices(len(streams), grid.N)
     x = _Sampler(grid.N, grid.delta, seed, streams, rows, law)
     drifts = [_Drift(d, law, grid, seed, streams, rows) for d in drifts]
+    screen = _sup_screen(law, drifts, grid, norm, epsilons)
     y = np.empty((rows, grid.N + 1))
     counts = np.zeros((len(drifts), len(epsilons)), dtype=np.int64)
     for lo, hi in slices:
-        xs = x.values(lo, hi)
+        if screen is None:
+            xs = x.values(lo, hi)
+        else:
+            kept = screen(x.draw(lo, hi))
+            if not kept:
+                continue
+            xs = x.running_sums(kept)
         for row, drift in zip(counts, drifts):
-            row += _counts_block(drift.compose(xs, lo, hi, y[: hi - lo]),
+            row += _counts_block(drift.compose(xs, lo, hi, y[: len(xs)]),
                                  grid.delta, norm, epsilons)
     return counts
+
+
+def _sup_screen(law, drifts, grid, norm, epsilons):
+    """The sup-ball screen of a chunk's slices, or None where it does not
+    apply.
+
+    It applies to the sup norm of fGn with H != 1/2 (the one law sampled
+    through an FFT) under deterministic drifts only.  ``screen(draws)``
+    takes a slice's raw draws, computes each row's values x_p at the
+    points t_p of ``simulate._screen_weights``, moves the rows it keeps
+    to the front of ``draws`` (the counts do not depend on row order) and
+    returns how many it kept.  It reads the points in stages of
+    _SCREEN_STAGE, one (rows, 2N+2) x (2N+2, 4) product each; a stage
+    reads only the rows the stage before kept, and runs only while at
+    most half the slice is kept.  Once the screen has dropped fewer than
+    a quarter of the rows it has read in the chunk, it keeps every row of
+    the chunk's later slices unread: where most paths reach the ball's
+    neighbourhood, the products cost more than the irfft they save, and
+    the rows of a chunk are independent draws of one law.  A row is
+    dropped when, for every drift with integral F,
+    |fl(x_p + F(t_p))| > e * (1 + 2^-40) + 2 kappa |d| at some p, with e
+    = max(epsilons) and |d| the row's draw norm; the row then lies
+    outside every ball, so it adds 0 at every radius and every count is
+    that of the full paths.
+
+    The bound.  Let u = 2^-53, gamma_n = n u / (1 - n u), rho =
+    ``simulate._FFT_REL_ERR`` the FFT's normwise relative error, c the
+    spectral coefficients and m = 2N.  Against exact arithmetic on the
+    stored c and d, the full path's value at t <= N errs by at most
+    (rho + 2u) c_max |d| from the multiply and irfft (Parseval: the irfft
+    of a half-spectrum v has 2-norm at most sqrt(2/m) |v|, and a sum of t
+    <= m/2 terms at most sqrt(t) times their 2-norm), plus gamma_N (1 +
+    rho + 2u) c_max |d| from the running sum.  The screen value errs by
+    sqrt(2) (rho + 3u) c_max |d| from its weights (the rfft of the
+    indicator of 0..t-1 has 2-norm sqrt(m t)) and by gamma_{2N+2} A |d|
+    from its product, A the largest weight-row norm.  Their sum is below
+    kappa |d|, kappa = c_max (3 rho + 2 gamma_N) + gamma_{2N+2} A, since
+    rho = 2^-32 dwarfs u; the factor 2 covers the rounding of |d|, of
+    kappa |d| and of the threshold.  So a dropped row has |x_t + F(t)| >
+    e (1 + 2^-41) exactly, and its composed value fl(x_t + F(t)) (x_t
+    itself without a drift) exceeds e.
+    """
+    if norm.kind != "sup" or isinstance(law, np.ndarray) or law == 0.5:
+        return None
+    points, weights, kappa = _screen_weights(law, grid.N, grid.delta)
+    offsets = [d.integral_at(points) for d in drifts]
+    if any(f is None for f in offsets):
+        return None
+    top = epsilons[-1] * (1.0 + 2.0**-40)
+
+    read = dropped = 0
+
+    def screen(draws):
+        nonlocal read, dropped
+        if 4 * dropped < read:
+            return len(draws)
+        kept = len(draws)
+        for lo in range(0, len(points), _SCREEN_STAGE):
+            d = draws[:kept]
+            hi = lo + _SCREEN_STAGE
+            x = d @ weights[lo:hi].T
+            reach = top + (2.0 * kappa) * np.sqrt(np.einsum("ij,ij->i", d, d))
+            out = np.ones(kept, dtype=bool)
+            for f in offsets:
+                out &= (np.abs(x + f[lo:hi]) > reach[:, None]).any(axis=1)
+            kept -= int(np.count_nonzero(out))
+            # fill the dropped rows of the front with kept rows from the back
+            d[np.flatnonzero(out[:kept])] = d[kept + np.flatnonzero(~out[kept:])]
+            if not kept or 2 * kept > len(draws):
+                break
+        read += len(draws)
+        dropped += len(draws) - kept
+        return kept
+
+    return screen
 
 
 def _chunk_increment_lp(law, grid, seed, p, streams):

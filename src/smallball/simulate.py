@@ -27,6 +27,15 @@ and reduction unit) and the public blocks, ``fgn_increments_block`` and
 ``path_values_block`` (values of y), stream through the same slices, the
 public blocks into a new array of their own.  A row's bytes do not
 depend on the slice it is sampled in.
+
+``_Sampler.draw`` and ``running_sums`` split a slice at its raw draws, so
+that the sup-ball screen of ``mcverify._chunk_counts`` can drop rows
+before the spectral multiply and irfft.  ``_screen_weights`` (cached per
+(H, N, delta) beside ``_spectral_coefficients``) maps a path's draws to
+its values at a few screen points; the screen applies to fGn with
+H != 1/2 under deterministic drifts and the sup norm only, and a row it
+drops counts at no radius, so no estimate byte moves.  The public blocks
+never screen.
 """
 
 from __future__ import annotations
@@ -58,6 +67,16 @@ PURPOSE_DRIFT = 1
 
 # values per row slice: about what a 2 MiB L2 cache holds with its buffers
 _SLICE_VALUES = 2**16
+
+# path values the sup-ball screen reads per row, at most
+_SCREEN_POINTS = 8
+
+# a bound on the normwise relative error of numpy's FFT (pocketfft) at
+# every length the sampler uses, with room to spare: radix-2 Cooley-Tukey
+# errs by at most about log2(m) * 2^-52 (Higham 2002, Thm 24.2), under
+# 2^-46 at m = 2^27, and mixed-radix and Bluestein passes stay within
+# small multiples of that
+_FFT_REL_ERR = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -249,6 +268,40 @@ def _spectral_coefficients(H: float, N: int, delta: float) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=32)
+def _screen_weights(H: float, N: int, delta: float):
+    """(points, weights, kappa): the linear map from one path's 2N+2 raw
+    draws to its values at a few screen points, for the sup-ball screen
+    of ``mcverify``.
+
+    The points are t_p = ceil(p N / P), p = 1..P, P = min(_SCREEN_POINTS,
+    N, rows of a full slice), so the (P, 2N+2) weights hold no more than
+    one slice of draws.  Row p is c * g with c ``_spectral_coefficients``
+    and g the running sum to t_p of irfft's rows: (2/m) (Re R_k, Im R_k)
+    on slot pair k, with R = rfft of the indicator of 0..t_p-1 (length
+    m = 2N) and half that on k = 0 and k = N.  kappa scales the bound on
+    the gap between a screen value and the value the full path computes,
+    per unit of the row's draw norm (``mcverify._sup_screen``).
+    """
+    P = min(_SCREEN_POINTS, N, max(1, _SLICE_VALUES // N))
+    points = -(-np.arange(1, P + 1) * N // P)
+    # every other point first: the screen reads them in stages of 4
+    points = np.concatenate([points[1::2], points[::2]])
+    m = 2 * N
+    ind = (np.arange(m) < points[:, None]).astype(float)
+    weights = np.fft.rfft(ind, axis=1).view(float) * (2.0 / m)
+    weights[:, [0, 2 * N]] *= 0.5
+    c = _spectral_coefficients(H, N, delta)
+    weights *= c
+    u = 2.0**-53
+    gamma_n, gamma_d = (n * u / (1.0 - n * u) for n in (N, 2 * N + 2))
+    kappa = (c.max() * (3.0 * _FFT_REL_ERR + 2.0 * gamma_n)
+             + gamma_d * np.sqrt((weights**2).sum(axis=1)).max())
+    for a in (points, weights):
+        a.setflags(write=False)
+    return points, weights, float(kappa)
+
+
 def _fgn_from_draws(H: float, N: int, delta: float, draws: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Map (B, 2N+2) interleaved spectral draws to (B, N) fGn increments.
@@ -294,12 +347,32 @@ class _Sampler:
             self._wave = np.empty((rows, 2 * N))
             self._inc = self._wave[:, :N]
 
-    def increments(self, lo: int, hi: int) -> np.ndarray:
-        """(hi - lo, N) increments of rows lo..hi-1 of the block."""
-        r = hi - lo
-        draws = self._draws[:r]
+    def draw(self, lo: int, hi: int) -> np.ndarray:
+        """The raw normal draws of rows lo..hi-1 of the block, in the draws
+        buffer: a caller may move or drop rows before ``running_sums``
+        transforms the first r of them."""
+        draws = self._draws[: hi - lo]
         for row, rng in zip(draws, _generators(self._states[lo:hi], self._rng)):
             rng.standard_normal(out=row)
+        return draws
+
+    def increments(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, N) increments of rows lo..hi-1 of the block."""
+        return self._increments(len(self.draw(lo, hi)))
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, N+1) running sums of the increments, from 0."""
+        return self.running_sums(len(self.draw(lo, hi)))
+
+    def running_sums(self, r: int) -> np.ndarray:
+        """(r, N+1) running sums, from 0, of the increments of the first r
+        rows of the draws buffer."""
+        out = self._values[:r]
+        np.cumsum(self._increments(r), axis=1, out=out[:, 1:])
+        return out
+
+    def _increments(self, r: int) -> np.ndarray:
+        draws = self._draws[:r]
         if isinstance(self._law, np.ndarray):
             # numpy takes a one-row product through gemv, whose sums differ
             # in the last bits from gemm's, and gemm rows do not depend on
@@ -312,12 +385,6 @@ class _Sampler:
         else:
             draws *= self._delta**self._law
         return self._inc[:r]
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """(hi - lo, N+1) running sums of the increments, from 0."""
-        out = self._values[: hi - lo]
-        np.cumsum(self.increments(lo, hi), axis=1, out=out[:, 1:])
-        return out
 
 
 def _slices(n: int, N: int):
@@ -562,6 +629,11 @@ class _Drift:
             return _Sampler(grid.N, grid.delta, seed, streams, rows, law)
         return _Sampler(grid.N, grid.delta, seed.with_purpose(PURPOSE_DRIFT),
                         streams, rows, drift.H2)
+
+    def integral_at(self, points) -> Optional[np.ndarray]:
+        """The integral of a deterministic drift at the grid points
+        ``points``, shared by every stream; None for a random one."""
+        return None if self._det is None else self._integral[points]
 
     def integrand(self, lo: int, hi: int) -> np.ndarray:
         """The integrand a on rows lo..hi-1: one (N+1,) row shared by every

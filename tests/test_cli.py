@@ -303,9 +303,12 @@ class TestBound:
         ({"kind": "holder_indep", "H": 0.3, "beta": 0.5, "c_inc": 1e-300,
           "holder_bound": 1, "epsilons": [0.1]},
          "no partition fits the horizon"),
+        # delta = (2 epsilon)^(1/(H - beta)) overflows a float
+        ({"kind": "fbm_holder", "H": 0.3, "beta": 0.299, "epsilons": [10]},
+         "no partition fits the horizon"),
     ], ids=["epsilon-1e-300", "bm-epsilon-1e-160", "stationary-epsilon-1e-300",
             "T-1e300", "T-1e308", "process-T-1e308", "stationary-T-1e308",
-            "holder_indep-c_inc-1e-300"])
+            "holder_indep-c_inc-1e-300", "fbm_holder-epsilon-10"])
     def test_oversized_witness_is_vacuous(self, cfg, reason, tmp_path,
                                                 capsys):
         code, out, _ = run_cli(tmp_path, capsys, "bound", cfg)
@@ -313,6 +316,21 @@ class TestBound:
         cert = json.loads(out)["certificates"][0]
         assert cert["flags"] == ["VACUOUS"]
         assert cert["provenance"]["reason"] == reason
+
+    def test_snapped_witness_of_an_overflowing_horizon_writes_finite_json(
+            self, tmp_path, capsys):
+        # T / delta_seed overflows while delta_mesh snaps N to 100: the
+        # discrete witness certifies, and the overflowing envelope entries
+        # are written as null
+        cfg = {"kind": "gaussian_class", "H": 0.3, "T": 1e308,
+               "delta_mesh": 1e306, "epsilons": [0.1]}
+        code, out, _ = run_cli(tmp_path, capsys, "bound", cfg)
+        assert code == 0
+        cert = _strict_json(out)["certificates"][0]
+        assert cert["N"] == 100 and cert["flags"] == ["DISCRETE_WITNESS"]
+        assert cert["total"] == pytest.approx(0.447387565, rel=1e-8)
+        envelope = cert["provenance"]["envelope"]
+        assert envelope["n_real"] is None and envelope["exponent"] is None
 
     def test_divisor_that_underflows_is_a_config_error(self, tmp_path, capsys):
         # 8 holder_bound^2 underflows to 0 inside holder_indep_certificate
@@ -964,6 +982,13 @@ def _fuzzed_configs(draw):
     return command, config, draw(st.one_of(st.just(()), _FUZZ_FLAGS))
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and +-Infinity, which strict readers reject."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON number {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestFuzzedConfigs:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_fuzzed_configs())
@@ -976,11 +1001,17 @@ class TestFuzzedConfigs:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, "--config", str(cfg_path),
                              "--out", str(Path(tmp) / "out.csv"), *flags])
+            artifact = Path(tmp) / "out.csv"
+            written = artifact.read_text() if artifact.exists() else ""
+        # every JSON output, on stdout or in --out, holds finite numbers only
+        for text in (out.getvalue(), written):
+            if text.lstrip().startswith("{"):
+                _strict_json(text)
         # verify exits 1 when a certificate is contradicted
         assert code in ((0, 1, 2) if command == "verify" else (0, 2))
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1
-            payload = json.loads(lines[0])
+            payload = _strict_json(lines[0])
             assert list(payload) == ["error"]
             assert isinstance(payload["error"]["message"], str)

@@ -747,3 +747,147 @@ class TestVerify:
         )
         with pytest.raises(InvalidComparisonError):
             verify_certificates(broken, [_cert(0.5, 0.9), _cert(1.0, 0.9)])
+
+
+class TestSupScreen:
+    """The sup-ball screen drops, before the spectral multiply and irfft, the
+    rows whose values at a few screen points already lie outside the
+    largest radius; counts must equal those of the full paths."""
+
+    DRIFTS = (DriftSpec(), DriftSpec(kind="constant", level=-0.4),
+              DriftSpec(kind="bounded_wave", amplitude=0.7, frequency=2.0))
+
+    @staticmethod
+    def _chunk(H, grid, drifts, eps, paths, seed=5):
+        job = partial(smallball.mcverify._chunk_counts, H, tuple(drifts), grid,
+                      SeedSpec(seed), Regime.sup(), np.asarray(eps))
+        return sum(_chunk_map(job, paths))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        rows = []
+        fgn = smallball.simulate._fgn_from_draws
+
+        def spy(H, N, delta, draws, out=None):
+            rows.append(draws.shape[0])
+            return fgn(H, N, delta, draws, out=out)
+
+        monkeypatch.setattr(smallball.simulate, "_fgn_from_draws", spy)
+        return rows
+
+    @pytest.mark.parametrize("T", [1.0, 0.0047, 2.0])
+    @pytest.mark.parametrize("N", [1, 2, 333, 1000, 8192])
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    def test_screened_counts_equal_dense_norms(self, H, N, T, monkeypatch):
+        grid = UniformGrid(T, N)
+        paths = 40 if N == 8192 else 300
+        values = [path_values_block(ProcessSpec(kind="fbm", H=H, drift=d), grid,
+                                    SeedSpec(5), np.arange(paths))
+                  for d in self.DRIFTS]
+        norms = [_norms_block(v, grid.delta, Regime.sup()) for v in values]
+        # the largest radius at the median over rows of the smallest peak
+        # at the screen points, so that the screen drops about half the rows
+        points = smallball.simulate._screen_weights(H, N, grid.delta)[0]
+        top = float(np.median(np.minimum.reduce(
+            [np.abs(v[:, points]).max(axis=1) for v in values])))
+        eps = sorted({top * f for f in (0.25, 0.5, 0.75, 1.0)}
+                     | {float(np.quantile(n, 0.1)) for n in norms} - {0.0})
+        eps = [e for e in eps if e <= top]
+        rows = self._spy(monkeypatch)
+        counts = self._chunk(H, grid, self.DRIFTS, eps, paths)
+        for drift, row, dense in zip(self.DRIFTS, counts, norms):
+            assert row.tolist() == [
+                int(np.count_nonzero(dense <= e)) for e in eps], drift.kind
+        assert sum(rows) < 0.75 * paths
+
+    @pytest.mark.parametrize("N", [2, 333, 8192])
+    def test_rows_inside_the_margin_reach_the_full_path(self, N):
+        # a radius just below a row's largest screen value, by less than
+        # the screen's margin: the row must be kept, and one a margin lower
+        # dropped
+        H, grid = 0.3, UniformGrid(1.0, N)
+        points, weights, kappa = smallball.simulate._screen_weights(
+            H, N, grid.delta)
+        x = _Sampler(N, grid.delta, SeedSpec(5), np.arange(4), 4, H)
+        row = x.draw(0, 4)[2].copy()
+        peak = float(np.abs(weights @ row).max())
+        margin = 2.0 * kappa * float(np.sqrt(row @ row))
+        drifts = [smallball.simulate._Drift(DriftSpec(), H, grid, SeedSpec(5),
+                                            np.arange(4), 4)]
+        for e, kept in ((peak - margin / 2, 1), (peak - 2 * margin, 0)):
+            screen = smallball.mcverify._sup_screen(H, drifts, grid, Regime.sup(),
+                                                    np.array([e / 2, e]))
+            assert screen(row[None, :].copy()) == kept, (e, peak, margin)
+
+    def test_rows_inside_the_margin_are_counted_as_the_full_path(self):
+        # radii at each path's own sup norm, the largest among them: rows at
+        # or near it lie inside the margin and must be counted
+        H, grid, paths = 0.3, UniformGrid(1.0, 1000), 300
+        norms = _norms_block(path_values_block(
+            ProcessSpec(kind="fbm", H=H), grid, SeedSpec(5), np.arange(paths)),
+            grid.delta, Regime.sup())
+        eps = np.sort(norms)[:60]
+        counts = self._chunk(H, grid, (DriftSpec(),), eps, paths)
+        assert counts[0].tolist() == list(range(1, 61))
+
+    def test_a_chunk_whose_slices_drop_every_row_counts_zero(self, monkeypatch):
+        rows = self._spy(monkeypatch)
+        counts = self._chunk(0.3, UniformGrid(1.0, 8192), self.DRIFTS,
+                             [0.01, 0.05], 64)
+        assert counts.tolist() == [[0, 0]] * 3
+        assert rows == []
+
+    def test_few_rows_reach_the_spectral_transform_at_the_verify_shape(
+            self, monkeypatch):
+        # the CLI verify default suite: fbm(0.3), N = 8192, radii 0.1-0.6
+        rows = self._spy(monkeypatch)
+        eps = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        counts = self._chunk(0.3, UniformGrid(1.0, 8192), (DriftSpec(),), eps,
+                             256, seed=7)
+        assert counts.tolist() == [[0] * 6]
+        assert sum(rows) < 0.1 * 256
+
+    def test_a_chunk_whose_rows_mostly_survive_stops_screening(self):
+        # rows at 0 lie inside every ball: after a slice of them the screen
+        # reads no more rows of its chunk, and keeps rows it would drop
+        H, N = 0.3, 8192
+        grid = UniformGrid(1.0, N)
+        drifts = [smallball.simulate._Drift(DriftSpec(), H, grid, SeedSpec(7),
+                                            np.arange(8), 8)]
+
+        def screen():
+            return smallball.mcverify._sup_screen(H, drifts, grid, Regime.sup(),
+                                                  np.array([0.01]))
+
+        far = _Sampler(N, grid.delta, SeedSpec(7), np.arange(8), 8, H).draw(0, 8)
+        assert screen()(far.copy()) == 0
+        switched = screen()
+        assert switched(np.zeros_like(far)) == 8
+        assert switched(far.copy()) == 8
+
+    def test_counts_at_the_survivor_heavy_shape_equal_dense_norms(self):
+        # criterion 03's shape: most paths lie inside the largest radius
+        H, grid, paths = 0.3, UniformGrid(0.0047, 8192), 64
+        eps = [float(e) for e in np.geomspace(0.15, 0.45, 8)]
+        dense = _norms_block(path_values_block(
+            ProcessSpec(kind="fbm", H=H), grid, SeedSpec(5), np.arange(paths)),
+            grid.delta, Regime.sup())
+        counts = self._chunk(H, grid, (DriftSpec(),), eps, paths)
+        assert counts[0].tolist() == [
+            int(np.count_nonzero(dense <= e)) for e in eps]
+        assert 0 < counts[0][-1] < paths
+
+    @pytest.mark.parametrize("law,drift,norm", [
+        (0.5, DriftSpec(), Regime.sup()),
+        (0.3, DriftSpec(kind="shared_fbm"), Regime.sup()),
+        (0.3, DriftSpec(kind="fbm", H2=0.6), Regime.sup()),
+        (0.3, DriftSpec(), Regime.l1()),
+        (0.3, DriftSpec(), Regime.holder(0.2)),
+    ], ids=["bm", "shared_fbm", "fbm-drift", "l1", "holder"])
+    def test_screen_applies_to_fgn_sup_balls_with_deterministic_drifts(
+            self, law, drift, norm):
+        grid = UniformGrid(1.0, 64)
+        drifts = [smallball.simulate._Drift(drift, law, grid, SeedSpec(5),
+                                            np.arange(4), 4)]
+        assert smallball.mcverify._sup_screen(law, drifts, grid, norm,
+                                              np.array([0.1])) is None
